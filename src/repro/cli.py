@@ -531,7 +531,8 @@ def cmd_fleet(args: argparse.Namespace, out) -> int:
     host:port`` banner once every worker is up, and terminates the
     workers when it stops.  Clients speak to the router exactly as they
     would to a single ``repro serve`` — sharding, replication and
-    failover are invisible.
+    failover are invisible.  SIGTERM stops the fleet the way Ctrl-C
+    does, workers included.
     """
     import asyncio
     import re
@@ -541,6 +542,10 @@ def cmd_fleet(args: argparse.Namespace, out) -> int:
 
     from .fleet.router import Router
 
+    def terminate(signum: int, frame: Any) -> None:
+        raise KeyboardInterrupt
+
+    previous_handler = signal.signal(signal.SIGTERM, terminate)
     procs = []
     addresses = {}
     try:
@@ -580,11 +585,11 @@ def cmd_fleet(args: argparse.Namespace, out) -> int:
             out.flush()
             await router.run()
 
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        pass
     finally:
+        signal.signal(signal.SIGTERM, previous_handler)
         for proc in procs:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)

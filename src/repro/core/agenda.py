@@ -106,7 +106,9 @@ class AgendaScheduler:
     def schedule(self, constraint: Any, variable: Any = None,
                  agenda: str = FUNCTIONAL) -> bool:
         """Schedule ``constraint`` (with optional triggering ``variable``)."""
-        target = self.agenda_named(agenda)
+        target = self._agendas.get(agenda)
+        if target is None:
+            target = self.agenda_named(agenda)
         added = target.schedule(constraint, variable)
         if added:
             observer = self.observer
@@ -117,7 +119,7 @@ class AgendaScheduler:
     def remove_highest_priority_entry(self) -> Optional[ScheduledEntry]:
         """Pop the first entry of the highest-priority non-empty agenda."""
         for agenda in self._agendas.values():
-            if agenda:
+            if agenda._queue:
                 entry = agenda.pop()
                 observer = self.observer
                 if observer is not None:

@@ -188,7 +188,8 @@ class _Round:
 
     __slots__ = ("visited", "changes", "visited_constraints",
                  "_constraint_ids", "max_changes", "silent",
-                 "_tick", "set_ticks", "queue", "draining", "dispatch_mark",
+                 "_tick", "set_ticks", "argument_ticks", "queue", "draining",
+                 "dispatch_mark",
                  "budget", "steps", "deadline", "started", "visited_floor",
                  "stats", "scheduler")
 
@@ -201,6 +202,9 @@ class _Round:
         self.silent = silent
         self._tick = 0
         self.set_ticks: Dict[Any, int] = {}
+        #: ``id(constraint)`` -> tick of the latest change among the
+        #: constraint's arguments (the O(1) side of :meth:`may_recompute`).
+        self.argument_ticks: Dict[int, int] = {}
         self.queue: Deque[Tuple[Any, ...]] = deque()
         self.draining = False
         self.dispatch_mark = 0
@@ -236,8 +240,28 @@ class _Round:
 
     def note_change(self, variable: Any) -> None:
         self.changes[variable] = self.changes.get(variable, 0) + 1
-        self._tick += 1
-        self.set_ticks[variable] = self._tick
+        tick = self._tick = self._tick + 1
+        self.set_ticks[variable] = tick
+        argument_ticks = self.argument_ticks
+        for constraint in variable.all_constraints():
+            argument_ticks[id(constraint)] = tick
+
+    def restamp(self) -> None:
+        """Re-derive :attr:`argument_ticks` after a mid-round link edit.
+
+        A constraint built, extended or removed while a round runs (a
+        compiler invoked from propagation, say) gains or loses arguments
+        whose ticks were stamped under the old links; rebuilding from
+        ``set_ticks`` over the current links keeps :meth:`may_recompute`
+        exact.
+        """
+        argument_ticks = self.argument_ticks
+        argument_ticks.clear()
+        for variable, tick in self.set_ticks.items():
+            for constraint in variable.all_constraints():
+                key = id(constraint)
+                if argument_ticks.get(key, 0) < tick:
+                    argument_ticks[key] = tick
 
     def begin_entry(self) -> None:
         """Reset per-entry bookkeeping between batch entries.
@@ -251,6 +275,7 @@ class _Round:
         """
         self.changes.clear()
         self.set_ticks.clear()
+        self.argument_ticks.clear()
         self._tick = 0
         self.visited_floor = len(self.visited)
 
@@ -263,16 +288,25 @@ class _Round:
         when one of its other arguments changed *after* the value was
         computed — a legitimate transient update, not a cycle.  A cap tied
         to the round size bounds divergent cyclic networks.
+
+        The check is O(1) whatever the constraint's arity:
+        :meth:`note_change` stamps every constraint of a changed variable
+        with the change's tick, so "some other argument is newer than the
+        result" is "the constraint's stamp is newer than the result".  The
+        result's own change stamps the constraint with exactly the
+        result's tick, never a newer one, so it cannot admit itself.
+        Hierarchical fan-in needs this: under the thesis priority order a
+        path ``sum`` recomputes after every instance dual adopts a new
+        class delay, so a check that scanned the arguments would make one
+        class edit quadratic in the instance count.
         """
         if variable.source_constraint() is not constraint:
             return False
-        if self.times_changed(variable) >= \
+        if self.changes.get(variable, 0) >= \
                 len(self.visited) - self.visited_floor + 2:
             return False  # livelock guard for divergent cycles
-        computed_at = self.set_ticks.get(variable, 0)
-        return any(self.set_ticks.get(argument, 0) > computed_at
-                   for argument in constraint.arguments
-                   if argument is not variable)
+        return self.argument_ticks.get(id(constraint), 0) > \
+            self.set_ticks.get(variable, 0)
 
     def note_constraint(self, constraint: Any) -> None:
         key = id(constraint)
@@ -429,6 +463,9 @@ class PropagationContext:
         if islands is not None:
             islands.note_link(variable, constraint)
         self.bump_topology_epoch()
+        rnd = self.current_round
+        if rnd is not None:
+            rnd.restamp()
 
     def note_structure_unlink(self, variable: Any, constraint: Any) -> None:
         """Structural choke point: ``variable`` lost ``constraint``.
@@ -441,6 +478,9 @@ class PropagationContext:
         if islands is not None:
             islands.note_unlink(variable, constraint)
         self.bump_topology_epoch()
+        rnd = self.current_round
+        if rnd is not None:
+            rnd.restamp()
 
     # -- round management -------------------------------------------------
 
@@ -1065,6 +1105,8 @@ class PropagationContext:
         queue = rnd.queue
         stats = rnd.stats
         scheduler = rnd.scheduler
+        constraint_ids = rnd._constraint_ids
+        visited_constraints = rnd.visited_constraints
         observer = self.observer
         budget = rnd.budget
         previous_draining = rnd.draining
@@ -1098,7 +1140,10 @@ class PropagationContext:
                 kind = event[0]
                 if kind is _ACTIVATE:
                     constraint, variable = event[1], event[2]
-                    rnd.note_constraint(constraint)
+                    key = id(constraint)  # rnd.note_constraint, inlined
+                    if key not in constraint_ids:
+                        constraint_ids.add(key)
+                        visited_constraints.append(constraint)
                     stats.constraint_activations += 1
                     if observer is None:
                         constraint.propagate_variable(variable)
@@ -1111,16 +1156,21 @@ class PropagationContext:
                                                 perf_counter(), len(queue))
                 elif kind is _VARIABLE_CHANGED:
                     variable, exclude = event[1], event[2]
-                    allows = self._allows
+                    control = self.control
                     # reversed: the first constraint pops (activates) first
                     for constraint in reversed(variable.all_constraints()):
-                        if constraint is exclude or not allows(constraint):
+                        if constraint is exclude or (
+                                control is not None
+                                and not control.allows(constraint)):
                             continue
                         queue.append((_ACTIVATE, constraint, variable))
                 elif kind is _DRAIN_AGENDAS:
                     entry = scheduler.remove_highest_priority_entry()
-                    while entry is not None and not self._allows(entry[0]):
-                        entry = scheduler.remove_highest_priority_entry()
+                    control = self.control
+                    if control is not None:
+                        while entry is not None \
+                                and not control.allows(entry[0]):
+                            entry = scheduler.remove_highest_priority_entry()
                     if entry is None:
                         continue  # agendas empty: the barrier dissolves
                     # Re-arm below the inference's events: the next entry
@@ -1128,9 +1178,13 @@ class PropagationContext:
                     queue.append(event)
                     rnd.dispatch_mark = len(queue)
                     constraint, variable = entry
-                    rnd.note_constraint(constraint)
+                    key = id(constraint)  # rnd.note_constraint, inlined
+                    if key not in constraint_ids:
+                        constraint_ids.add(key)
+                        visited_constraints.append(constraint)
                     stats.inference_runs += 1
-                    self._trace("infer", constraint)
+                    if self.tracer is not None:
+                        self._trace("infer", constraint)
                     if observer is None:
                         constraint.propagate_scheduled(variable)
                     else:
@@ -1199,11 +1253,15 @@ class PropagationContext:
         5.1.2): counts the attempt, traces it, and queues the entry —
         duplicates are rejected by the agenda itself.
         """
-        rnd = self.current_round
+        # current_round, without its thread-local lookup when no island
+        # round has ever run on this context.
+        rnd = self._round if self._island_rounds is None \
+            else self.current_round
         stats = self.stats if rnd is None else rnd.stats
         scheduler = self.scheduler if rnd is None else rnd.scheduler
         stats.scheduled_entries += 1
-        self._trace("schedule", constraint)
+        if self.tracer is not None:
+            self._trace("schedule", constraint)
         observer = self.observer
         if observer is not None:
             observer.scheduled(constraint, agenda)
@@ -1219,7 +1277,13 @@ class PropagationContext:
         The change's spread is posted to the round's queue rather than
         propagated by re-entering the engine.
         """
-        rnd = self.require_round()
+        # require_round, without current_round's thread-local lookup when
+        # no island round has ever run on this context.
+        rnd = self._round if self._island_rounds is None \
+            else self.current_round
+        if rnd is None:
+            raise RuntimeError("propagated assignment outside a propagation "
+                               "round")
         if rnd.draining and len(rnd.queue) > rnd.dispatch_mark:
             # A constraint assigning its second value within one inference
             # run: finish the first value's wavefront before this store,
@@ -1236,7 +1300,7 @@ class PropagationContext:
             if self.tracer is not None:
                 self._trace("ignore", variable, f"{value!r} agrees/defers")
             return
-        if rnd.times_changed(variable) >= rnd.max_changes \
+        if rnd.changes.get(variable, 0) >= rnd.max_changes \
                 and not rnd.may_recompute(variable, constraint):
             raise PropagationViolation(
                 variable=variable, constraint=constraint, attempted_value=value,

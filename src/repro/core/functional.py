@@ -55,9 +55,15 @@ class FunctionalConstraint(Constraint):
         raise NotImplementedError
 
     def _input_values(self) -> Optional[List[Any]]:
-        values = [variable.value for variable in self.inputs]
-        if any(value is None for value in values):
-            return None
+        """The input values, or None when any is unset.
+
+        Every input is read before the check: a daemon input's ``value``
+        recalculates on read, so none may be skipped.
+        """
+        values = [variable.value for variable in self._arguments[1:]]
+        for value in values:
+            if value is None:
+                return None
         return values
 
     def immediate_inference_by_changing(self, variable: Any) -> None:

@@ -21,6 +21,7 @@ overwrite rules before spreading further.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Set
 
 from . import dependency
@@ -83,9 +84,9 @@ class Variable:
 
     # -- value access ---------------------------------------------------------
 
-    @property
-    def value(self) -> Any:
-        return self._value
+    #: The stored value.  A C-level getter: the engine reads it once per
+    #: functional input per recompute.  Daemon variables override it.
+    value = property(attrgetter("_value"))
 
     @property
     def raw_value(self) -> Any:

@@ -43,8 +43,6 @@ when the operations that created them replay — and are counted in
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from time import perf_counter
@@ -53,7 +51,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from ..core.engine import PropagationContext, RoundBudget
 from ..core.islands import install_islands
 from ..core.justification import (
-    APPLICATION,
     PropagatedJustification,
     USER,
     is_propagated,
@@ -77,7 +74,6 @@ from .journal import (
     FileOpener,
     JournalWriter,
     _safe_str,
-    read_entries,
 )
 
 __all__ = [
@@ -89,9 +85,7 @@ __all__ = [
 ]
 
 STATE_SCHEMA = "repro-session/1"
-CHECKPOINT_PREFIX = "ckpt-"
 _INF = float("inf")
-CHECKPOINT_SUFFIX = ".json"
 
 #: Journaled request ids remembered per session for retry deduplication
 #: that survives a process kill (rebuilt from the journal on recovery).
@@ -1485,81 +1479,3 @@ def _fingerprint_value(value: Any) -> Any:
         return encode_value(value)
     except EncodingError:
         return {"__repr__": repr(value)}
-
-
-def _checkpoint_path(directory: str, seq: int) -> str:
-    return os.path.join(directory,
-                        f"{CHECKPOINT_PREFIX}{seq:010d}{CHECKPOINT_SUFFIX}")
-
-
-def _checkpoint_seq(name: str) -> Optional[int]:
-    if not (name.startswith(CHECKPOINT_PREFIX)
-            and name.endswith(CHECKPOINT_SUFFIX)):
-        return None
-    digits = name[len(CHECKPOINT_PREFIX):-len(CHECKPOINT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
-
-
-def _scan_checkpoints(directory: str) -> List[Tuple[int, str]]:
-    found = []
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return found
-    for name in names:
-        seq = _checkpoint_seq(name)
-        if seq is not None:
-            found.append((seq, os.path.join(directory, name)))
-    found.sort()
-    return found
-
-
-def _load_latest_checkpoint(directory: str) -> Optional[Dict[str, Any]]:
-    """Newest checkpoint that parses and carries the expected schema;
-    damaged candidates are skipped (an older checkpoint plus a longer
-    journal replay still recovers)."""
-    for seq, path in reversed(_scan_checkpoints(directory)):
-        try:
-            with open(path) as handle:
-                state = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        if isinstance(state, dict) and state.get("schema") == STATE_SCHEMA \
-                and isinstance(state.get("seq"), int):
-            return state
-    return None
-
-
-def _write_checkpoint(directory: str, state: Dict[str, Any], *,
-                      opener: FileOpener = DEFAULT_OPENER) -> str:
-    """Atomic checkpoint write: temp file, fsync, rename, fsync dir.
-
-    A failure before the rename leaves the previous checkpoint intact;
-    the orphaned temp file is removed best-effort before re-raising.
-    """
-    path = _checkpoint_path(directory, state["seq"])
-    temp = path + ".tmp"
-    try:
-        with opener(temp, "w") as handle:
-            json.dump(state, handle, separators=(",", ":"), sort_keys=True)
-            handle.flush()
-            opener.fsync(handle)
-        opener.replace(temp, path)
-    except OSError:
-        try:
-            os.remove(temp)
-        except OSError:
-            pass
-        raise
-    opener.fsync_dir(directory)
-    return path
-
-
-def _prune_checkpoints(directory: str, keep: int, *,
-                       opener: FileOpener = DEFAULT_OPENER) -> None:
-    checkpoints = _scan_checkpoints(directory)
-    for _seq, path in checkpoints[:-keep] if keep > 0 else checkpoints:
-        try:
-            opener.remove(path)
-        except OSError:
-            pass

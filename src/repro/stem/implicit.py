@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from ..core.agenda import IMPLICIT
+from ..core.justification import is_user
 from ..core.variable import Variable
 
 
@@ -171,8 +172,6 @@ class InstanceInstVar(ImplicitConstraintVariable):
 
     def immediate_inference_by_changing(self, variable: Any) -> None:
         """Adopt the class value, adjusted, unless user-overridden (Fig. 7.7)."""
-        from ..core.justification import is_user
-
         if variable is not self._class_var or self._class_var is None:
             return
         if self.value is not None and is_user(self.last_set_by):

@@ -311,10 +311,13 @@ def _load_signal(cell: CellClass, data: Dict[str, Any]) -> None:
             max_load_capacitance=data.get("max_load_capacitance"),
             max_fanout=data.get("max_fanout"),
             pins=pins)
-    signal.data_type_var._store(_type_from_name(data.get("data_type")),
-                                APPLICATION)
-    signal.electrical_type_var._store(
-        _type_from_name(data.get("electrical_type")), APPLICATION)
+    # An unset type carries no justification, as on a freshly defined
+    # signal; only a stored type is application-calculated state.
+    for variable, key in ((signal.data_type_var, "data_type"),
+                          (signal.electrical_type_var, "electrical_type")):
+        signal_type = _type_from_name(data.get(key))
+        variable._store(signal_type,
+                        APPLICATION if signal_type is not None else None)
     width = data.get("bit_width")
     if width is not None:
         signal.bit_width_var._store(

@@ -193,6 +193,26 @@ class TestCheckpoint:
             assert value == 3
             assert justification.constraint is r.constraints["c1"]
 
+    def test_checkpoint_recovers_unset_signal_types(self, tmp_path):
+        """Signals' unset dataType/electricalType keep their ``None``
+        justification through a checkpoint, so the recovered session
+        fingerprints exactly like the live one."""
+        with Session("t", directory=str(tmp_path), fsync="never") as s:
+            s.define_cell("INV")
+            s.define_signal("INV", "a", "in")
+            s.define_signal("INV", "z", "out")
+            s.declare_delay("INV", "a", "z", estimate=2.0)
+            s.define_cell("TOP")
+            s.instantiate("TOP", "INV", "u1")
+            s.checkpoint()
+            s.assign("c:INV:delay(a->z)", 3.0)
+            live = s.fingerprint()
+        assert live["variables"]["c:INV:a.dataType"] == {"value": None,
+                                                         "just": None}
+        with Session("t", directory=str(tmp_path), fsync="never") as r:
+            assert r.replayed_entries == 1
+            assert r.fingerprint() == live
+
     def test_checkpoint_prunes_covered_segments(self, tmp_path):
         from repro.session.journal import scan_segments
         with Session("t", directory=str(tmp_path), fsync="never",
