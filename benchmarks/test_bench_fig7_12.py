@@ -89,19 +89,29 @@ def test_bench_incremental_leaf_update(benchmark):
 
 
 def test_bench_full_rebuild_ablation(benchmark):
-    """Non-incremental strategy: rebuild both networks per change."""
-    g1, g2, b, a, x = build_fig_7_12()
-    values = itertools.cycle([3.0, 3.5])
+    """Non-incremental strategy: rebuild both networks per change.
 
-    def rebuild():
+    With propagation off, the leaf edit reaches nothing on its own, so
+    the rebuild re-derives the leaf's instance delays inside A by hand
+    before rebuilding A's and X's networks from those instance values.
+    """
+    g1, g2, b, a, x = build_fig_7_12()
+
+    def rebuild(leaf):
         with default_context().propagation_disabled():
-            g1.delay_var("a", "y")._store(next(values), None)
+            g1.delay_var("a", "y")._store(leaf, None)
+            for instance in g1.instances:
+                instance.refresh_delay_adjustments()
             a.delay_var("x", "y").reset()
             x.delay_var("in1", "out1").reset()
         a.build_delay_network()
         x.build_delay_network()
         return x.delay_value("in1", "out1")
 
-    result = benchmark(rebuild)
+    for leaf in (3.0, 3.5, 7.0):
+        assert rebuild(leaf) == pytest.approx(2 + 2 * (leaf + 4.0))
+
+    values = itertools.cycle([3.0, 3.5])
+    result = benchmark(lambda: rebuild(next(values)))
     assert result == pytest.approx(2 + 2 * (g1.delay_var("a", "y").value
                                             + 4.0))

@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from .checking import check_cell
 from .core import reset_default_context
@@ -50,6 +50,18 @@ def _exercise(library: CellLibrary) -> None:
     for cell in library:
         if cell.delays and cell.subcells:
             cell.build_delay_network()
+
+
+def _library_variables(library: CellLibrary) -> Iterator[Any]:
+    """Every variable a cell, its subcells or its nets hold."""
+    for cell in library:
+        yield from cell.variables.values()
+        for instance in cell.subcells:
+            yield from instance.variables.values()
+        for net in cell.nets.values():
+            yield net.bit_width_var
+            yield net.data_type_var
+            yield net.electrical_type_var
 
 
 def _find_instance(cell: Any, name: str) -> Any:
@@ -207,15 +219,9 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
     metrics snapshot API so output is deterministic (sorted keys) and,
     with ``--json``, machine-readable.
     """
-    from .core import install_islands
     from .obs import MetricsRegistry
 
-    context = reset_default_context()
-    # Install the island index before loading so it observes every
-    # constraint link the load creates (partition counters then reflect
-    # the whole design, not just post-load edits).
-    islands = install_islands(context)
-    library = _load(args.design, context=context)
+    library = _load(args.design)
     _exercise(library)
     registry = MetricsRegistry.from_stats(library.context.stats)
     cache = getattr(library.context, "plan_cache", None)
@@ -225,8 +231,6 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
         cache.chain_hits if cache is not None else 0)
     registry.counter("engine.stats.plan_deopts").inc(
         cache.deopts if cache is not None else 0)
-    for name, value in islands.stats().items():
-        registry.counter(f"engine.stats.{name}").inc(value)
     snapshot = registry.snapshot()
     if args.json:
         json.dump(snapshot, out, indent=2, sort_keys=True)
@@ -240,25 +244,26 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 def cmd_islands(args: argparse.Namespace, out) -> int:
     """Inspect the constraint-graph islands of a design.
 
-    Loads the design with an island index installed, then prints the
-    partition: island count, sizes in deterministic order (largest
-    first, ties by first member name), and — with ``--members`` — the
-    variables of each island.  ``--json`` emits one JSON object.
+    Loads the design, partitions its constrained variables with
+    :func:`~repro.core.sweep.bfs_partition`, then prints the islands:
+    count, sizes in deterministic order (largest first, ties by first
+    member name), and — with ``--members`` — the variables of each
+    island.  ``--json`` emits one JSON object.
     """
-    from .core import install_islands
+    from .core import bfs_partition
 
-    context = reset_default_context()
-    islands = install_islands(context)
-    library = _load(args.design, context=context)
+    library = _load(args.design)
     _exercise(library)
-    partition = islands.islands()
-    summary = islands.stats()
+    constrained = [variable for variable in _library_variables(library)
+                   if variable.all_constraints()]
+    partition = [sorted(component, key=lambda v: v.qualified_name())
+                 for component in bfs_partition(constrained)]
+    partition.sort(key=lambda vs: (-len(vs), vs[0].qualified_name()))
+    largest = len(partition[0]) if partition else 0
     if args.json:
         report: Any = {
-            "islands": summary["islands"],
-            "largest_island": summary["largest_island"],
-            "island_merges": summary["island_merges"],
-            "island_splits": summary["island_splits"],
+            "islands": len(partition),
+            "largest_island": largest,
             "sizes": [len(group) for group in partition],
         }
         if args.members:
@@ -267,10 +272,8 @@ def cmd_islands(args: argparse.Namespace, out) -> int:
         json.dump(report, out, indent=2, sort_keys=True)
         print(file=out)
         return 0
-    print(f"{summary['islands']} island(s) in {library.name!r} "
-          f"(largest {summary['largest_island']}, "
-          f"merges {summary['island_merges']}, "
-          f"splits {summary['island_splits']})", file=out)
+    print(f"{len(partition)} island(s) in {library.name!r} "
+          f"(largest {largest})", file=out)
     for index, group in enumerate(partition):
         print(f"  island {index}: {len(group)} variable(s)", file=out)
         if args.members:
@@ -475,7 +478,6 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                            max_connections=args.max_connections,
                            drain_timeout=args.drain_timeout,
                            round_budget=round_budget,
-                           island_workers=args.island_workers,
                            store=args.store)
 
     async def run() -> None:
@@ -875,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=5.0,
                          help="seconds to let in-flight requests finish "
                               "on shutdown")
-    p_serve.add_argument("--island-workers", type=int, default=None,
-                         help="drain disjoint constraint-graph islands of "
-                              "a batch concurrently on N threads (0/1 = "
-                              "serial island rounds; default leaves "
-                              "batches fused)")
     p_serve.add_argument("--store", default=None, metavar="BACKEND[:PATH]",
                          help="durable storage backend: file (default), "
                               "sqlite[:db-path] or object[:bucket-path]")

@@ -26,14 +26,6 @@ from .functional import (
     UniMaximumConstraint,
     UniMinimumConstraint,
 )
-from .islands import (
-    IslandIndex,
-    SerialIslandExecutor,
-    ThreadIslandExecutor,
-    bfs_partition,
-    install_islands,
-    islands_for,
-)
 from .justification import (
     APPLICATION,
     DEFAULT,
@@ -83,6 +75,7 @@ from .sweep import (
     SweepError,
     SweepPlan,
     SweepResult,
+    bfs_partition,
     compile_island_sweeps,
     compile_sweep,
     sweep,
@@ -114,12 +107,10 @@ __all__ = [
     "IMPLICIT", "Infeasible", "Interval", "IntervalSolver", "MEDIUM",
     "PropagationControl", "REQUIRED", "Recommendation", "RelaxationSolver",
     "STRONG", "StrengthAwareVariable", "USER_STRENGTH", "WEAK", "WEAKEST",
-    "IslandIndex", "SerialIslandExecutor", "ThreadIslandExecutor",
-    "bfs_partition", "install_islands", "islands_for",
     "NOT_DERIVED", "PlanCache", "PropagationPlan", "PropagationPlanChain",
     "PropagationTrace",
     "HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
-    "compile_island_sweeps",
+    "bfs_partition", "compile_island_sweeps",
     "compile_network", "compile_sweep", "control_for", "explain",
     "plan_cache_for",
     "plan_one_pass", "solve_one_pass", "strength_of_constraint", "sweep",

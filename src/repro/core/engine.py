@@ -62,7 +62,6 @@ Key behaviours reproduced:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
@@ -190,8 +189,7 @@ class _Round:
                  "_constraint_ids", "max_changes", "silent",
                  "_tick", "set_ticks", "argument_ticks", "queue", "draining",
                  "dispatch_mark",
-                 "budget", "steps", "deadline", "started", "visited_floor",
-                 "stats", "scheduler")
+                 "budget", "steps", "deadline", "started", "visited_floor")
 
     def __init__(self, max_changes: int, silent: bool = False) -> None:
         self.visited: Dict[Any, Tuple[Justification, Any]] = {}
@@ -219,13 +217,6 @@ class _Round:
         self.steps = 0
         self.deadline: Optional[float] = None
         self.started = 0.0
-        #: Where this round's activity counts and agenda entries go.
-        #: Context rounds alias the context's own stats/scheduler (set by
-        #: ``_round_scope``); island rounds carry private ones so several
-        #: rounds can drain concurrently and merge their effects at the
-        #: end (see ``_run_island_rounds``).
-        self.stats: Optional[PropagationStats] = None
-        self.scheduler: Optional[AgendaScheduler] = None
 
     def record_visit(self, variable: Any) -> None:
         if variable not in self.visited:
@@ -381,23 +372,6 @@ class PropagationContext:
         #: ``absorb_undo(undo)`` called by plan-cache replays.  Costs
         #: one attribute check per round while ``None``.
         self.shadow = None
-        #: Optional :class:`repro.core.islands.IslandIndex` — the
-        #: incrementally-maintained connected-component partition of the
-        #: constraint graph.  Maintained from the structural choke points
-        #: (:meth:`note_structure_link` / :meth:`note_structure_unlink`);
-        #: costs one attribute check per structural edit while ``None``.
-        self.islands = None
-        #: Optional island executor (``repro.core.islands``): when both
-        #: an index and an executor are installed, ``assign_many``
-        #: batches spanning several islands drain each island as its own
-        #: round — concurrently for parallel executors — with effects
-        #: merged so results are byte-identical to the fused round.
-        self.island_executor = None
-        #: Thread-local holding the island round being drained by the
-        #: current thread (created on first island-structured batch).
-        #: ``current_round`` checks it before ``_round`` so constraints
-        #: running inside an island wavefront see their own round.
-        self._island_rounds: Optional[threading.local] = None
         # Epoch-coalescing state for structural_operation(): while the
         # hold count is positive, bump_topology_epoch defers (at most one
         # pending bump), so a multi-link edit costs one epoch.
@@ -439,9 +413,7 @@ class PropagationContext:
     @contextmanager
     def structural_operation(self) -> Iterator[None]:
         """Scope one logical structural edit: epoch bumps inside coalesce
-        to a single bump at exit.  Nests (the outermost scope bumps);
-        island-index maintenance is unaffected — links and unlinks keep
-        flowing to the index eagerly."""
+        to a single bump at exit.  Nests (the outermost scope bumps)."""
         self._epoch_hold += 1
         try:
             yield
@@ -454,31 +426,22 @@ class PropagationContext:
     def note_structure_link(self, variable: Any, constraint: Any) -> None:
         """Structural choke point: ``variable`` gained ``constraint``.
 
-        Feeds the island index (eager merge) and bumps the topology
-        epoch.  Every path that grows the constraint graph — explicit
-        ``Variable.add_constraint`` and implicit hierarchy registration —
-        funnels through here.
+        Bumps the topology epoch.  Every path that grows the constraint
+        graph — explicit ``Variable.add_constraint`` and implicit
+        hierarchy registration — funnels through here.
         """
-        islands = self.islands
-        if islands is not None:
-            islands.note_link(variable, constraint)
         self.bump_topology_epoch()
-        rnd = self.current_round
+        rnd = self._round
         if rnd is not None:
             rnd.restamp()
 
     def note_structure_unlink(self, variable: Any, constraint: Any) -> None:
         """Structural choke point: ``variable`` lost ``constraint``.
 
-        Feeds the island index (lazy split — the touched component is
-        rebuilt on the next partition query) and bumps the topology
-        epoch.
+        Bumps the topology epoch.
         """
-        islands = self.islands
-        if islands is not None:
-            islands.note_unlink(variable, constraint)
         self.bump_topology_epoch()
-        rnd = self.current_round
+        rnd = self._round
         if rnd is not None:
             rnd.restamp()
 
@@ -486,17 +449,7 @@ class PropagationContext:
 
     @property
     def current_round(self) -> Optional[_Round]:
-        """The round the calling thread is propagating in, or ``None``.
-
-        An island round being drained by this thread takes precedence
-        over the context-wide round — constraints firing inside an
-        island wavefront must join *their* island's bookkeeping.
-        """
-        local = self._island_rounds
-        if local is not None:
-            rnd = getattr(local, "round", None)
-            if rnd is not None:
-                return rnd
+        """The round propagating in this context, or ``None``."""
         return self._round
 
     @property
@@ -514,8 +467,6 @@ class PropagationContext:
         if self._round is not None:
             raise RuntimeError("propagation rounds do not nest")
         rnd = _Round(self.max_changes_per_variable, silent=silent)
-        rnd.stats = self.stats
-        rnd.scheduler = self.scheduler
         budget = self.round_budget
         if budget is not None:
             rnd.budget = budget
@@ -633,7 +584,7 @@ class PropagationContext:
             # A tool assigned mid-round: the round's shape depends on
             # state a straight-line plan cannot guard.  Never cache it.
             recording.poison("in-round external assignment")
-        rnd.stats.external_assignments += 1
+        self.stats.external_assignments += 1
         rnd.record_visit(variable)
         variable._store(value, justification)
         rnd.note_change(variable)
@@ -712,20 +663,6 @@ class PropagationContext:
         else:
             seeds = entries
         dropped = len(entries) - len(seeds)
-        if self.island_executor is not None and self.islands is not None \
-                and len(seeds) > 1 and self.tracer is None \
-                and self.shadow is None and self.round_budget is None \
-                and self._plan_recording is None:
-            # Island-structured fast path: a batch whose entries span
-            # several islands drains each island as an independent round
-            # (concurrently, with a parallel executor).  Consulted after
-            # the recorder — journal bytes are identical islands on or
-            # off — and gated off whenever round-wide machinery (tracer,
-            # space shadow, budget, an in-flight trace recording) needs
-            # the single fused round.
-            groups = self.islands.group_entries(seeds)
-            if len(groups) > 1:
-                return self._run_island_rounds(groups, seeds, dropped)
         cache = self.plan_cache
         if cache is not None and self.tracer is None:
             # Hot-batch fast path: a promoted plan chain replays the whole
@@ -795,208 +732,6 @@ class PropagationContext:
                 observer.round_finished(outcome)
         self._trace("round-end", first)
         return True
-
-    # -- island-structured batches (repro.core.islands) ---------------------
-
-    def _run_island_rounds(self, groups: List[List[Tuple[Any, Any,
-                                                         Justification]]],
-                           entries: List[Tuple[Any, Any, Justification]],
-                           dropped: int) -> bool:
-        """Drain a multi-island batch as independent per-island rounds.
-
-        Optimistic execution with an authoritative serial fallback: each
-        island's slice runs as a private :class:`_Round` (own stats, own
-        agenda scheduler, own undo map) — concurrently when the executor
-        is parallel — and only if **every** island completes cleanly and
-        the topology stayed put are the island effects committed: local
-        stats merge commutatively into the context's, the parent applies
-        the round-level counters (``rounds``, ``external_assignments``,
-        ``coalesced_assignments``) exactly once, and promoted island
-        chains' stats deltas apply.  On any violation, error or mid-round
-        structural edit, *all* island effects are rolled back quietly (no
-        handler, no violation record) and the whole batch reruns through
-        :meth:`_run_batch_round` — the fused round is the authority for
-        violation handling, so handler invocations, violation records and
-        every counter are byte-identical to running with islands off.
-
-        One journaled batch frame covers either path (the recorder ran in
-        :meth:`assign_many` before this branch), and with an observer
-        installed the islands drain serially in the calling thread (the
-        metrics hub is not thread-safe) wrapped in per-island spans.
-        """
-        index = self.islands
-        cache = self.plan_cache
-        observer = self.observer
-        executor = self.island_executor
-        epoch0 = self.topology_epoch
-        first = entries[0][0]
-        island_hook = None
-        if observer is not None:
-            batch_hook = getattr(observer, "batch_submitted", None)
-            if batch_hook is not None:
-                batch_hook(len(entries) + dropped, dropped)
-            observer.round_started("batch", first)
-            island_hook = getattr(observer, "island_event", None)
-            if island_hook is not None:
-                island_hook("batches")
-                island_hook("groups", len(groups))
-        local = self._island_rounds
-        if local is None:
-            local = self._island_rounds = threading.local()
-        replayed: List[Tuple[List[Tuple[Any, Any, Any]], Any]] = []
-        outcomes: List[Tuple[str, _Round, Any]] = []
-        recorded: Optional[Tuple[Any, _Round]] = None
-        index.freeze()
-        try:
-            pending = []  # (group, key_state) for general island rounds
-            for group in groups:
-                state = None
-                if cache is not None:
-                    state = cache.island_chain_state(group)
-                    if state is not None and state.plan is not None:
-                        replay = cache.replay_island(state, group)
-                        if replay is not None:
-                            replayed.append(replay)
-                            continue
-                        if state.plan is not None:
-                            state = None  # foreign plan on the key
-                pending.append((group, state))
-            # At most one island per batch records a trace (the recording
-            # slot is context-global), drained inline in this thread
-            # before anything reaches the executor.
-            recording = None
-            rest = []
-            for group, state in pending:
-                if recording is None and state is not None \
-                        and state.plan is None:
-                    stats = PropagationStats()
-                    recording = cache.begin_island_recording(state, stats)
-                    if recording is not None:
-                        outcome = self._island_task(group, local, stats,
-                                                    recording)
-                        outcomes.append(outcome)
-                        recorded = (recording, outcome[1])
-                        continue
-                rest.append(group)
-            failed = any(status != "ok" for status, _rnd, _err in outcomes) \
-                or self.topology_epoch != epoch0
-            if not failed and rest:
-                if observer is not None or len(rest) == 1 \
-                        or not getattr(executor, "parallel", False):
-                    span_hook = None if observer is None \
-                        else getattr(observer, "island_span", None)
-                    for group in rest:
-                        stats = PropagationStats()
-                        if span_hook is not None:
-                            with span_hook("round", entries=len(group)):
-                                outcome = self._island_task(group, local,
-                                                            stats)
-                        else:
-                            outcome = self._island_task(group, local, stats)
-                        outcomes.append(outcome)
-                else:
-                    tasks = []
-                    for group in rest:
-                        stats = PropagationStats()
-                        tasks.append(_island_thunk(self, group, local, stats))
-                    outcomes.extend(executor.run(tasks))
-                failed = any(status != "ok"
-                             for status, _rnd, _err in outcomes) \
-                    or self.topology_epoch != epoch0
-            if failed:
-                # Quiet whole-batch rollback: restore every island round's
-                # pre-states and reverse every replayed chain, discard the
-                # island-local stats, then rerun the batch fused — the
-                # authoritative path for handlers and violation records.
-                for _status, rnd, _err in reversed(outcomes):
-                    self._restore(rnd)
-                for undo, _plan in reversed(replayed):
-                    for var, just, val in reversed(undo):
-                        var._store(val, just)
-                if recorded is not None and cache is not None:
-                    cache.finish_recording(recorded[0], recorded[1], False)
-                if island_hook is not None:
-                    island_hook("fallbacks")
-                if observer is not None:
-                    observer.round_finished("island-fallback")
-                return self._run_batch_round(entries, dropped)
-            # Commit: one round frame, island effects merged.
-            stats = self.stats
-            stats.rounds += 1
-            stats.coalesced_assignments += dropped
-            stats.external_assignments += len(entries)
-            for _status, rnd, _err in outcomes:
-                island_stats = rnd.stats
-                for name in PropagationStats.__slots__:
-                    setattr(stats, name,
-                            getattr(stats, name) + getattr(island_stats,
-                                                           name))
-            for _undo, plan in replayed:
-                for name, delta in plan.stats_delta:
-                    setattr(stats, name, getattr(stats, name) + delta)
-            if recorded is not None and cache is not None:
-                cache.finish_recording(recorded[0], recorded[1], True)
-            if island_hook is not None:
-                if outcomes:
-                    island_hook("rounds", len(outcomes))
-                if replayed:
-                    island_hook("replays", len(replayed))
-            if observer is not None:
-                observer.round_finished("ok")
-            return True
-        finally:
-            index.thaw()
-
-    def _island_task(self, group: List[Tuple[Any, Any, Justification]],
-                     local: threading.local, stats: PropagationStats,
-                     recording: Any = None) -> Tuple[str, _Round, Any]:
-        """Drain one island's slice of a batch as a private round.
-
-        Runs in the calling thread or an executor worker.  All effects
-        are round-local: private stats, a private agenda scheduler, and
-        the round itself bound thread-locally so constraints firing
-        inside the wavefront find *their* island's round.  The round is
-        **not** restored on violation or error — the caller owns the
-        whole-batch rollback — and no handler or observer violation
-        event fires here (the fused fallback rerun is authoritative).
-        """
-        rnd = _Round(self.max_changes_per_variable)
-        rnd.stats = stats
-        scheduler = AgendaScheduler(self.scheduler.priority_order)
-        scheduler.observer = self.scheduler.observer
-        rnd.scheduler = scheduler
-        installed = recording is not None
-        if installed:
-            self._plan_recording = recording
-        local.round = rnd
-        try:
-            queue = rnd.queue
-            for variable, value, just in group:
-                rnd.begin_entry()
-                if recording is not None:
-                    recording.note_entry(variable, value)
-                rnd.record_visit(variable)
-                variable._store(value, just)
-                rnd.note_change(variable)
-                queue.append((_DRAIN_AGENDAS,))
-                queue.append((_VARIABLE_CHANGED, variable, None))
-                variable.on_stored_by_assignment()
-                self._drain(rnd)
-                if recording is not None:
-                    # A poisoning in-round assignment may have replaced
-                    # the recording reference; re-read it (as the fused
-                    # batched round does).
-                    recording = self._plan_recording
-            self.check_visited_constraints()
-            return ("ok", rnd, None)
-        except PropagationViolation as signal:
-            return ("violation", rnd, signal)
-        except BaseException as error:  # noqa: BLE001 - fallback reruns it
-            return ("error", rnd, error)
-        finally:
-            local.round = None
-            if installed:
-                self._plan_recording = None
 
     def probe(self, variable: Any, value: Any,
               justification: Justification = TENTATIVE) -> bool:
@@ -1103,8 +838,8 @@ class PropagationContext:
         with constant interpreter stack depth however deep the network.
         """
         queue = rnd.queue
-        stats = rnd.stats
-        scheduler = rnd.scheduler
+        stats = self.stats
+        scheduler = self.scheduler
         constraint_ids = rnd._constraint_ids
         visited_constraints = rnd.visited_constraints
         observer = self.observer
@@ -1222,7 +957,7 @@ class PropagationContext:
             if rnd.was_visited(argument):
                 continue
             rnd.record_visit(argument)
-            rnd.stats.constraint_activations += 1
+            self.stats.constraint_activations += 1
             queue.append((_REPROPAGATE, constraint, remaining))
             queue.append((_DRAIN_AGENDAS,))
             rnd.dispatch_mark = len(queue)
@@ -1253,19 +988,13 @@ class PropagationContext:
         5.1.2): counts the attempt, traces it, and queues the entry —
         duplicates are rejected by the agenda itself.
         """
-        # current_round, without its thread-local lookup when no island
-        # round has ever run on this context.
-        rnd = self._round if self._island_rounds is None \
-            else self.current_round
-        stats = self.stats if rnd is None else rnd.stats
-        scheduler = self.scheduler if rnd is None else rnd.scheduler
-        stats.scheduled_entries += 1
+        self.stats.scheduled_entries += 1
         if self.tracer is not None:
             self._trace("schedule", constraint)
         observer = self.observer
         if observer is not None:
             observer.scheduled(constraint, agenda)
-        scheduler.schedule(constraint, variable, agenda=agenda)
+        self.scheduler.schedule(constraint, variable, agenda=agenda)
 
     def propagated_assignment(self, variable: Any, value: Any,
                               constraint: Any, justification: Justification) -> None:
@@ -1277,10 +1006,7 @@ class PropagationContext:
         The change's spread is posted to the round's queue rather than
         propagated by re-entering the engine.
         """
-        # require_round, without current_round's thread-local lookup when
-        # no island round has ever run on this context.
-        rnd = self._round if self._island_rounds is None \
-            else self.current_round
+        rnd = self._round  # require_round, inlined
         if rnd is None:
             raise RuntimeError("propagated assignment outside a propagation "
                                "round")
@@ -1292,7 +1018,7 @@ class PropagationContext:
             self._drain(rnd, rnd.dispatch_mark)
         decision = variable.classify_propagated(value, constraint)
         if decision == "ignore":
-            rnd.stats.ignored_propagations += 1
+            self.stats.ignored_propagations += 1
             recording = self._plan_recording
             if recording is not None:
                 recording.note_ignore(variable, value, constraint,
@@ -1314,7 +1040,7 @@ class PropagationContext:
         rnd.record_visit(variable)
         variable._store(value, justification)
         rnd.note_change(variable)
-        rnd.stats.propagated_assignments += 1
+        self.stats.propagated_assignments += 1
         recording = self._plan_recording
         if recording is not None:
             recording.note_write(variable, value, constraint, justification)
@@ -1342,7 +1068,7 @@ class PropagationContext:
         for constraint in list(rnd.visited_constraints):
             if not self._allows(constraint):
                 continue
-            rnd.stats.satisfaction_checks += 1
+            self.stats.satisfaction_checks += 1
             if not constraint.is_satisfied():
                 raise PropagationViolation(
                     constraint=constraint,
@@ -1359,9 +1085,9 @@ class PropagationContext:
         state — and restoration happens unconditionally afterwards (the
         "proceed" semantics), even if the handler raises.
         """
-        rnd.stats.violations += 1
+        self.stats.violations += 1
         if signal.kind == "budget":
-            rnd.stats.budget_aborts += 1
+            self.stats.budget_aborts += 1
         self._trace("violation", signal.constraint or signal.variable,
                     signal.reason)
         observer = self.observer
@@ -1385,7 +1111,7 @@ class PropagationContext:
             self._trace("restore", None,
                         f"{len(rnd.visited)} variable(s) restored")
             rnd.queue.clear()
-            rnd.scheduler.clear()
+            self.scheduler.clear()
 
     def _restore(self, rnd: _Round) -> None:
         """Restore every visited variable to its pre-round state."""
@@ -1394,14 +1120,6 @@ class PropagationContext:
         shadow = self.shadow
         if shadow is not None and not rnd.silent:
             shadow.round_rolled_back()
-
-
-def _island_thunk(context: "PropagationContext", group: List[Tuple[Any, ...]],
-                  local: threading.local, stats: PropagationStats):
-    """A zero-argument island task for the executor (loop-capture safe)."""
-    def run() -> Tuple[str, "_Round", Any]:
-        return context._island_task(group, local, stats)
-    return run
 
 
 def _precedence_ordered(arguments: List[Any]) -> List[Any]:

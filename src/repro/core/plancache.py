@@ -115,22 +115,16 @@ class _TraceRecording:
     """
 
     __slots__ = ("cache", "state", "epoch", "entry_none", "stats_before",
-                 "steps", "poisoned", "reason", "dropped", "stats_owner")
+                 "steps", "poisoned", "reason", "dropped")
 
     def __init__(self, cache: "PlanCache", state: "_KeyState", epoch: int,
                  entry_none: bool, stats_before: Dict[str, int],
-                 dropped: int = 0, stats_owner: Any = None) -> None:
+                 dropped: int = 0) -> None:
         self.cache = cache
         self.state = state
         self.epoch = epoch
         self.entry_none = entry_none
         self.stats_before = stats_before
-        #: The stats object the recorded round counted into — the
-        #: context's for fused rounds, an island-local one for island
-        #: rounds (``None`` means the context's).  The promoted stats
-        #: delta diffs this object, so island plans replay exactly the
-        #: increments their island contributed.
-        self.stats_owner = stats_owner
         #: ``(kind, target, constraint, justification, value_was_none)``
         self.steps: List[Tuple[str, Any, Any, Any, bool]] = []
         self.poisoned = False
@@ -217,26 +211,17 @@ class PropagationPlanChain:
     recorded batch had; the stats delta replays the coalescing counter,
     so a batch that coalesces differently falls back to the general
     engine.
-
-    ``island`` marks a chain recorded from one island's slice of an
-    island-structured batch: its stats delta deliberately excludes the
-    round-level counters (``rounds``, ``external_assignments``,
-    ``coalesced_assignments``) the parent batch applies once.  The flag
-    keeps the two batch paths from replaying each other's chains when a
-    whole batch and an island slice share the same entry tuple.
     """
 
-    __slots__ = ("entries", "steps", "stats_delta", "dropped", "island")
+    __slots__ = ("entries", "steps", "stats_delta", "dropped")
 
     def __init__(self, entries: Tuple[Any, ...],
                  steps: List[Tuple[Any, ...]],
-                 stats_delta: List[Tuple[str, int]], dropped: int,
-                 island: bool = False) -> None:
+                 stats_delta: List[Tuple[str, int]], dropped: int) -> None:
         self.entries = entries
         self.steps = steps
         self.stats_delta = stats_delta
         self.dropped = dropped
-        self.island = island
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -454,88 +439,6 @@ class PlanCache:
         self._begin_recording(state, None, dropped)
         return None
 
-    # -- island sub-batches (repro.core.islands) ----------------------------
-
-    def island_chain_state(self, entries: List[Tuple[Any, Any, Any]]) -> Any:
-        """Look up (registering on first sight) the chain key for one
-        island's slice of a batch.
-
-        Island plans live in the ordinary ``_states`` keyspace — the key
-        is the entry-variable id tuple plus the epoch, exactly as for
-        whole-batch chains — so eviction, invalidation and stats are
-        shared.  Returns the key state, or ``None`` when the key is
-        disabled (the island runs the general engine, never recording).
-        """
-        context = self.context
-        key_ids = tuple(id(entry[0]) for entry in entries)
-        key = (key_ids, context.topology_epoch)
-        states = self._states
-        state = states.get(key)
-        if state is None:
-            self.misses += 1
-            self._observe("miss")
-            if len(states) >= self.max_keys:
-                states.pop(next(iter(states)))
-            state = _KeyState(tuple(entry[0] for entry in entries), key_ids)
-            states[key] = state
-            return state
-        if state.disabled:
-            self.misses += 1
-            self._observe("miss")
-            return None
-        return state
-
-    def replay_island(self, state: Any,
-                      entries: List[Tuple[Any, Any, Any]]) -> Any:
-        """Replay one island's promoted chain inside an island batch.
-
-        Returns ``(undo, plan)`` on success — the caller keeps the undo
-        list for the whole-batch rollback and applies ``plan.stats_delta``
-        only once every island has succeeded — or ``None`` when the
-        chain could not replay (guard deopt, or a whole-batch plan with a
-        different coalescing count shares the key).  No round events are
-        emitted: the island batch is one round, owned by the engine.
-        """
-        plan = state.plan
-        if not getattr(plan, "island", False):
-            # A whole-batch chain shares this key: its stats delta
-            # includes the round-level counters the parent batch applies
-            # itself.  Run the general engine for this island.
-            self.misses += 1
-            self._observe("miss")
-            return None
-        undo = self._run_chain(plan, entries, None)
-        if undo is None:
-            # Deoptimize exactly as _execute_batch: rollback already ran.
-            self.deopts += 1
-            state.plan = None
-            state.signature = None
-            state.confirmations = 0
-            self._observe("deopt")
-            return None
-        self.hits += 1
-        self.chain_hits += 1
-        self._observe("hit")
-        return (undo, plan)
-
-    def begin_island_recording(self, state: Any, stats: Any) -> Any:
-        """Start a trace recording for one island's general run.
-
-        Unlike :meth:`_begin_recording` the recording is returned rather
-        than installed — the engine installs it only while that island's
-        round is draining (the recording slot is context-global, so at
-        most one island per batch records, inline in the calling
-        thread).  ``stats`` is the island round's private counter object;
-        the promoted stats delta diffs it.
-        """
-        state.attempts += 1
-        if state.attempts > self.max_trace_attempts:
-            self._disable(state, "trace budget exhausted")
-            return None
-        self.traces += 1
-        return _TraceRecording(self, state, self.context.topology_epoch,
-                               True, stats.snapshot(), 0, stats)
-
     def finish_recording(self, recording: _TraceRecording, rnd: Any,
                          ok: bool) -> None:
         """Round teardown: fold a finished trace into the key's state."""
@@ -676,8 +579,7 @@ class PlanCache:
             return None
         state.plan = PropagationPlanChain(entries, steps,
                                           self._stats_delta(recording),
-                                          recording.dropped,
-                                          recording.stats_owner is not None)
+                                          recording.dropped)
         state.attempts = 0
         self.promotions += 1
         self._observe("promotion")
@@ -727,8 +629,7 @@ class PlanCache:
         return True
 
     def _stats_delta(self, recording: _TraceRecording) -> List[Tuple[str, int]]:
-        owner = recording.stats_owner
-        after = (self.context.stats if owner is None else owner).snapshot()
+        after = self.context.stats.snapshot()
         before = recording.stats_before
         return [(name, after[name] - before[name])
                 for name in after if after[name] != before[name]]
@@ -784,11 +685,10 @@ class PlanCache:
                        entries: List[Tuple[Any, Any, Any]],
                        dropped: int) -> Optional[bool]:
         plan = state.plan
-        if dropped != plan.dropped or plan.island:
-            # Different raw batch, same coalesced seeds — or an island-
-            # slice chain sharing the key: the recorded stats delta would
-            # replay the wrong round-level counts.  Run the general
-            # round; the plan survives for matching batches.
+        if dropped != plan.dropped:
+            # Different raw batch, same coalesced seeds: the recorded
+            # stats delta would replay the wrong coalescing count.  Run
+            # the general round; the plan survives for matching batches.
             self.misses += 1
             self._observe("miss")
             return None
@@ -808,11 +708,9 @@ class PlanCache:
         try:
             if span is not None:
                 with span:
-                    ok = self._run_chain(plan, entries,
-                                         context.shadow) is not None
+                    ok = self._run_chain(plan, entries, context.shadow)
             else:
-                ok = self._run_chain(plan, entries,
-                                     context.shadow) is not None
+                ok = self._run_chain(plan, entries, context.shadow)
         except BaseException:
             if observer is not None:
                 observer.round_finished("error")
@@ -843,13 +741,8 @@ class PlanCache:
     @staticmethod
     def _run_chain(plan: PropagationPlanChain,
                    entries: List[Tuple[Any, Any, Any]],
-                   shadow: Any = None) -> Optional[List[Tuple[Any, Any, Any]]]:
-        """Replay a plan chain under guards.
-
-        Returns the applied undo list on success (island-structured
-        batches keep it for their whole-batch rollback), ``None`` when a
-        guard failed and the chain rolled itself back.
-        """
+                   shadow: Any = None) -> bool:
+        """Replay a plan chain under guards; False means rolled back."""
         undo: List[Tuple[Any, Any, Any]] = []
         index = 0
         try:
@@ -890,7 +783,7 @@ class PlanCache:
         except _GuardFailure:
             for var, just, val in reversed(undo):
                 var._store(val, just)
-            return None
+            return False
         except BaseException:
             # Defective derivation/check: restore, then surface — the
             # same contract as the general engine's error path.
@@ -899,7 +792,7 @@ class PlanCache:
             raise
         if shadow is not None and undo:
             shadow.absorb_undo(undo)
-        return undo
+        return True
 
     @staticmethod
     def _run_plan(plan: PropagationPlan, variable: Any, value: Any,

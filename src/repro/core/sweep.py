@@ -41,7 +41,7 @@ propagation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .functional import (
     FormulaConstraint,
@@ -70,7 +70,8 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY = _numpy is not None
 
 __all__ = ["HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
-           "compile_island_sweeps", "compile_sweep", "sweep"]
+           "bfs_partition", "compile_island_sweeps", "compile_sweep",
+           "sweep"]
 
 
 class SweepError(Exception):
@@ -613,6 +614,35 @@ def _emit_predicate(constraint: Any, varying: Dict[int, Any],
     return True
 
 
+def bfs_partition(variables: Any) -> List[List[Any]]:
+    """Partition the network around ``variables`` into connected components.
+
+    Walks ``all_constraints``/``arguments`` edges from every given
+    variable by breadth-first search and returns the connected
+    components ("islands"), each one's variables in first-discovery
+    order.  Computed from scratch on every call: nothing is cached, so
+    the answer is always exact for the current network.
+    """
+    seen: Set[int] = set()
+    components: List[List[Any]] = []
+    for variable in variables:
+        if id(variable) in seen:
+            continue
+        component: List[Any] = []
+        frontier = [variable]
+        seen.add(id(variable))
+        while frontier:
+            node = frontier.pop()
+            component.append(node)
+            for constraint in node.all_constraints():
+                for argument in getattr(constraint, "arguments", ()):
+                    if id(argument) not in seen:
+                        seen.add(id(argument))
+                        frontier.append(argument)
+        components.append(component)
+    return components
+
+
 def compile_island_sweeps(inputs: Any, *,
                           context: Any = None) -> List[SweepPlan]:
     """Compile one sweep plan per constraint-graph island of the inputs.
@@ -621,42 +651,23 @@ def compile_island_sweeps(inputs: Any, *,
     closures compile — and run — independently; a multi-module
     exploration becomes one small plan per module instead of one fused
     plan whose compile walks every module's closure together.  Inputs
-    are grouped by the context's :class:`~repro.core.islands.IslandIndex`
-    when one is installed (``context.islands``), else by a from-scratch
-    :func:`~repro.core.islands.bfs_partition`; within each group, input
+    are grouped by :func:`bfs_partition`; within each group, input
     order is preserved.  Returns the plans in first-input order.
     """
-    from .islands import bfs_partition
-
     if hasattr(inputs, "all_constraints"):
         inputs = [inputs]
     swept = list(inputs)
     if not swept:
         raise SweepError("a sweep needs at least one swept variable")
     ctx = context if context is not None else swept[0].context
-    index = getattr(ctx, "islands", None)
+    groups: Dict[int, List[Any]] = {}
+    for index, component in enumerate(bfs_partition(swept)):
+        for variable in component:
+            groups[id(variable)] = index
     grouped: Dict[int, List[Any]] = {}
-    order: List[int] = []
-    if index is not None:
-        for variable in swept:
-            island = index.island_of(variable)
-            key = min(id(member) for member in island)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(variable)
-    else:
-        components = bfs_partition(swept)
-        membership = {id(variable): root
-                      for root, component in enumerate(components)
-                      for variable in component}
-        for variable in swept:
-            key = membership[id(variable)]
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(variable)
-    return [compile_sweep(grouped[key], context=ctx) for key in order]
+    for variable in swept:
+        grouped.setdefault(groups[id(variable)], []).append(variable)
+    return [compile_sweep(group, context=ctx) for group in grouped.values()]
 
 
 def sweep(inputs: Any, candidates: Any, *, context: Any = None,

@@ -210,7 +210,7 @@ class Variable:
         networks with re-propagation.  The universal choke point for
         constraint links, so it notifies the context's structural hook
         (advancing the topology epoch, which invalidates cached
-        propagation plans, and merging constraint-graph islands)."""
+        propagation plans)."""
         if constraint not in self.constraints:
             self.constraints.append(constraint)
             self.context.note_structure_link(self, constraint)

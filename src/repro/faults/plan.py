@@ -181,13 +181,6 @@ class FaultPlan:
         return self.on(direction, Action("delay", seconds=seconds),
                        nth=nth, probability=probability, times=times)
 
-    def truncate_frame(self, direction: str, *, keep: int,
-                       nth: Optional[int] = None,
-                       times: Optional[int] = 1) -> FaultRule:
-        """Forward only ``keep`` bytes of a frame, then reset the link."""
-        return self.on(direction, Action("truncate", keep=keep), nth=nth,
-                       times=times)
-
     def reset(self, direction: str, *, nth: Optional[int] = None,
               probability: Optional[float] = None,
               times: Optional[int] = None) -> FaultRule:

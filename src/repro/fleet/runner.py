@@ -138,10 +138,6 @@ class LocalFleet:
         kwargs.setdefault("backoff", 0.05)
         return SessionClient(self.host, self.port, **kwargs)
 
-    def direct_client(self, worker_id: str, **kwargs: Any) -> SessionClient:
-        server = self.workers[worker_id]
-        return SessionClient(server.host, server.port, **kwargs)
-
     # -- fault injection ----------------------------------------------------
 
     def kill_worker(self, worker_id: str) -> None:
@@ -177,13 +173,6 @@ class LocalFleet:
         if worker is None:
             raise RuntimeError("no live workers")
         return worker
-
-    def follower_of(self, session: str) -> str:
-        assert self.router is not None
-        _primary, follower = self.router.ring.lookup_pair(session)
-        if follower is None:
-            raise RuntimeError("no follower available")
-        return follower
 
 
 class ServerThread:

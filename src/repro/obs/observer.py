@@ -276,26 +276,6 @@ class Observer:
             return nullcontext()
         return spans.span(kind, "plan", **args)
 
-    # -- island rounds (core/islands.py + engine) -------------------------------
-
-    def island_event(self, kind: str, count: int = 1) -> None:
-        """One island-round event: ``batches`` (island-structured batches
-        started) / ``groups`` (islands in them) / ``rounds`` (island
-        rounds committed) / ``replays`` (islands satisfied from the plan
-        cache) / ``fallbacks`` (batches rerun fused after a violation,
-        error or mid-round topology change)."""
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter(f"engine.island.{kind}").inc(count)
-
-    def island_span(self, kind: str, **args: Any):
-        """Span context for draining one island of a batch."""
-        self.island_event(kind)
-        spans = self.spans
-        if spans is None:
-            return nullcontext()
-        return spans.span(kind, "island", **args)
-
     # -- computation spaces (repro/spaces) -------------------------------------
 
     def space_event(self, kind: str, count: int = 1) -> None:

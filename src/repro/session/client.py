@@ -146,10 +146,6 @@ class SessionClient:
                 except OSError:
                     pass
 
-    def _reconnect(self) -> None:
-        self.close()
-        self._connect()
-
     def __enter__(self) -> "SessionClient":
         return self
 

@@ -28,9 +28,7 @@ class SessionManager:
     journal/checkpoint I/O of every managed session — the fault-injection
     seam.  ``round_budget`` (a :class:`~repro.core.engine.RoundBudget`)
     installs the propagation watchdog on each session's context as it is
-    opened.  ``island_workers`` configures island-parallel batch
-    draining per opened session (see :class:`~repro.session.session.Session`).
-    ``store`` selects the durable backend: ``None``/``"file"``,
+    opened.  ``store`` selects the durable backend: ``None``/``"file"``,
     ``"sqlite[:path]"``, ``"object[:path]"`` (the ``--store`` grammar —
     see :func:`repro.store.resolve_store`), or an already-built
     :class:`~repro.store.base.SegmentStore`.
@@ -40,7 +38,6 @@ class SessionManager:
                  max_sessions: int = 64,
                  opener: Optional[FileOpener] = None,
                  round_budget: Optional[Any] = None,
-                 island_workers: Optional[int] = None,
                  store: Optional[Any] = None) -> None:
         from ..store import SegmentStore, resolve_store
         self.root = root
@@ -48,7 +45,6 @@ class SessionManager:
         self.max_sessions = max_sessions
         self.opener = opener
         self.round_budget = round_budget
-        self.island_workers = island_workers
         if store is None or isinstance(store, str):
             store = resolve_store(store, root, opener=opener)
         elif not isinstance(store, SegmentStore):
@@ -82,8 +78,7 @@ class SessionManager:
                 raise SessionError(
                     f"session limit reached ({self.max_sessions})")
             session = Session(name, store=session_store, fsync=self.fsync,
-                              opener=self.opener,
-                              island_workers=self.island_workers)
+                              opener=self.opener)
             if self.round_budget is not None:
                 session.context.round_budget = self.round_budget
             self.sessions[name] = session
@@ -117,12 +112,6 @@ class SessionManager:
 
     def is_open(self, name: str) -> bool:
         return name in self.sessions
-
-    def degraded_names(self) -> List[str]:
-        """Names of open sessions whose journals entered degraded mode."""
-        with self._lock:
-            return sorted(name for name, session in self.sessions.items()
-                          if session.degraded)
 
     def degraded_info(self) -> Dict[str, str]:
         """Degraded open sessions mapped to their disk-error message.

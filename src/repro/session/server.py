@@ -99,13 +99,11 @@ class SessionServer:
                  drain_timeout: float = 5.0,
                  opener: Any = None,
                  round_budget: Any = None,
-                 island_workers: Any = None,
                  store: Any = None) -> None:
         self.manager = SessionManager(root, fsync=fsync,
                                       max_sessions=max_sessions,
                                       opener=opener,
                                       round_budget=round_budget,
-                                      island_workers=island_workers,
                                       store=store)
         self.host = host
         self.port = port
@@ -585,9 +583,6 @@ class SessionServer:
         stats["plan_chain_hits"] = (cache.chain_hits
                                     if cache is not None else 0)
         stats["plan_deopts"] = cache.deopts if cache is not None else 0
-        islands = session.context.islands
-        if islands is not None:
-            stats.update(islands.stats())
         return {"stats": {key: stats[key] for key in sorted(stats)},
                 "position": session.position,
                 "store": self.manager.store_backend,

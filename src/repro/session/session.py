@@ -49,7 +49,6 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.engine import PropagationContext, RoundBudget
-from ..core.islands import install_islands
 from ..core.justification import (
     PropagatedJustification,
     USER,
@@ -218,13 +217,6 @@ class Session:
     read_only:
         Recover state but open no writer and record no new mutations —
         the verification-replay mode.
-    island_workers:
-        Island-parallel batch draining (:mod:`repro.core.islands`).
-        ``None`` (default) installs the island index for partition
-        queries only; ``0``/``1`` drains multi-island batches through
-        the serial island executor; greater values drain disjoint
-        islands on that many threads.  Every setting is byte-identical
-        on disk and in fingerprints.
     opener:
         :class:`~repro.session.journal.FileOpener` used for every
         journal/checkpoint write — the fault-injection seam.  Defaults
@@ -257,7 +249,6 @@ class Session:
                  segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
                  keep_checkpoints: int = 2,
                  read_only: bool = False,
-                 island_workers: Optional[int] = None,
                  opener: Optional[FileOpener] = None,
                  store: Optional[Any] = None,
                  replay_to: Optional[int] = None) -> None:
@@ -291,12 +282,6 @@ class Session:
         self.context.handler = _ViolationLogHandler(self,
                                                     self.context.handler)
         self.context.recorder = self
-        # Install the island index before the library (and any journal
-        # replay) builds structure, so the partition observes every link
-        # from the start.  The index alone is cheap bookkeeping; batches
-        # only drain island-structured when island_workers is given, and
-        # concurrently when it exceeds 1.
-        install_islands(self.context, workers=island_workers)
         self.library = _fresh_library(name, self.context)
 
         if store is None and directory is not None:
@@ -1129,13 +1114,6 @@ class Session:
             # object graph, so every cached plan is stale.  Rebinding
             # drops them and re-installs the cache on the new context.
             plan_cache.rebind(context)
-        islands = getattr(previous, "islands", None)
-        if islands is not None:
-            # Same story for the island partition: the rebuilt network is
-            # new objects, so the partition restarts empty and re-grows as
-            # load_library relinks constraints.  The executor carries over.
-            islands.rebind(context)
-            context.island_executor = previous.island_executor
         if previous.recorder is self:
             previous.recorder = None
         self.context = context

@@ -113,10 +113,8 @@ class ClassInstVar(ImplicitConstraintVariable):
             self._instance_vars.append(instance_var)
             instance_var._class_var = self
             # Implicit topology changed without a Variable.add_constraint
-            # link: notify the structural hook explicitly (plan
-            # invalidation + island merge — the class variable acts as
-            # the linking "constraint", its arguments spanning all
-            # registered instances).
+            # link: notify the structural hook explicitly so cached
+            # propagation plans are invalidated.
             self.context.note_structure_link(instance_var, self)
 
     def unregister_instance_var(self, instance_var: "InstanceInstVar") -> None:

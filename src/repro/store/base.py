@@ -49,7 +49,6 @@ from ..session.journal import (
     JournalCorrupt,
     JournalTailGap,
     _decode_line,
-    _segment_first_seq,
     _segment_name,
 )
 
@@ -76,10 +75,6 @@ CHECKPOINT_SUFFIX = ".json"
 def segment_name(first_seq: int) -> str:
     """Canonical segment key: ``wal-<firstseq:010d>.jsonl``."""
     return _segment_name(first_seq)
-
-
-def segment_first_seq(key: str) -> Optional[int]:
-    return _segment_first_seq(key)
 
 
 def checkpoint_name(seq: int) -> str:

@@ -20,6 +20,7 @@ from repro.core import (
     UpdateConstraint,
     UpperBoundConstraint,
     Variable,
+    control_for,
     plan_cache_for,
     source_constraint,
 )
@@ -289,6 +290,61 @@ class TestInvalidation:
         assert cache.plan_count == 1
         cache.clear()
         assert cache.plan_count == 0 and cache.stats()["keys"] == 0
+
+
+class TestEpochDiscipline:
+    """One logical structural edit advances the topology epoch once."""
+
+    def test_attach_of_multi_argument_constraint_bumps_once(self):
+        context = PropagationContext()
+        a = Variable(name="a", context=context)
+        b = Variable(name="b", context=context)
+        c = Variable(name="c", context=context)
+        before = context.topology_epoch
+        constraint = UniMaximumConstraint(a, [b, c])
+        assert context.topology_epoch == before + 1
+        before = context.topology_epoch
+        constraint.remove()
+        assert context.topology_epoch == before + 1
+
+    def test_argument_edits_bump_once_each(self):
+        context = PropagationContext()
+        a = Variable(name="a", context=context)
+        b = Variable(name="b", context=context)
+        constraint = EqualityConstraint(a, b)
+        d = Variable(name="d", context=context)
+        before = context.topology_epoch
+        constraint.add_argument(d)
+        assert context.topology_epoch == before + 1
+        before = context.topology_epoch
+        constraint.remove_argument(d)
+        assert context.topology_epoch == before + 1
+
+    def test_hierarchy_registration_bumps_once(self):
+        from repro.stem.implicit import ClassInstVar, InstanceInstVar
+
+        context = PropagationContext()
+        class_var = ClassInstVar(name="class", context=context)
+        instance_var = InstanceInstVar(name="instance", context=context)
+        before = context.topology_epoch
+        class_var.register_instance_var(instance_var)
+        assert context.topology_epoch == before + 1
+        before = context.topology_epoch
+        class_var.unregister_instance_var(instance_var)
+        assert context.topology_epoch == before + 1
+
+    def test_control_mutation_bumps_once(self):
+        context = PropagationContext()
+        a = Variable(name="a", context=context)
+        b = Variable(name="b", context=context)
+        constraint = EqualityConstraint(a, b)
+        control = control_for(context)
+        before = context.topology_epoch
+        control.disable_constraint(constraint)
+        assert context.topology_epoch == before + 1
+        before = context.topology_epoch
+        control.enable_constraint(constraint)
+        assert context.topology_epoch == before + 1
 
 
 class TestObservability:

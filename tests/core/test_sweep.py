@@ -23,6 +23,8 @@ from repro.core import (
     UniMaximumConstraint,
     UpperBoundConstraint,
     Variable,
+    bfs_partition,
+    compile_island_sweeps,
     compile_sweep,
     sweep,
 )
@@ -237,3 +239,68 @@ class TestBackendIdentity:
         context = PropagationContext()
         v1, *_ = build_fig4_5(context)
         assert compile_sweep([v1]).run([1.0]).backend == "numpy"
+
+
+class TestIslandSweeps:
+    def test_compile_island_sweeps_splits_disjoint_closures(self):
+        context = PropagationContext()
+        plans_inputs = []
+        for index in range(3):
+            source = Variable(name=f"s{index}", context=context)
+            result = Variable(name=f"r{index}", context=context)
+            ScaleOffsetConstraint(result, source, scale=2, offset=index)
+            plans_inputs.append((source, result))
+        plans = compile_island_sweeps([pair[0] for pair in plans_inputs],
+                                      context=context)
+        assert len(plans) == 3
+        for index, (plan, (source, result)) in enumerate(
+                zip(plans, plans_inputs)):
+            outcome = plan.run([1.0, 2.0], backend="python")
+            assert outcome.values[result] == [2.0 + index, 4.0 + index]
+
+    def test_same_island_inputs_share_one_plan(self):
+        context = PropagationContext()
+        a = Variable(name="a", context=context)
+        b = Variable(name="b", context=context)
+        total = Variable(name="total", context=context)
+        UniAdditionConstraint(total, [a, b])
+        plans = compile_island_sweeps([a, b], context=context)
+        assert len(plans) == 1
+        outcome = plans[0].run([[1.0, 2.0], [10.0, 20.0]],
+                               backend="python")
+        assert outcome.values[total] == [11.0, 22.0]
+
+    def test_unlinked_input_compiles_alone(self):
+        context = PropagationContext()
+        x = Variable(name="x", context=context)
+        y = Variable(name="y", context=context)
+        rx = Variable(name="rx", context=context)
+        ScaleOffsetConstraint(rx, x, scale=3)
+        plans = compile_island_sweeps([x, y], context=context)
+        assert len(plans) == 2
+
+
+
+class TestBfsPartition:
+    def test_components_follow_constraint_links(self):
+        context = PropagationContext()
+        v1, v2, v3, v4 = build_fig4_5(context)
+        free = Variable(name="free", context=context)
+        x = Variable(name="x", context=context)
+        y = Variable(name="y", context=context)
+        link = ScaleOffsetConstraint(y, x, scale=2)
+        partition = bfs_partition([v1, free, x])
+        assert [sorted(v.name for v in group) for group in partition] \
+            == [["V1", "V2", "V3", "V4"], ["free"], ["x", "y"]]
+        link.remove()
+        assert [[v.name for v in group]
+                for group in bfs_partition([x, y])] == [["x"], ["y"]]
+
+    def test_each_variable_lands_in_exactly_one_component(self):
+        context = PropagationContext()
+        v1, v2, v3, v4 = build_fig4_5(context)
+        partition = bfs_partition([v4, v3, v2, v1])
+        assert len(partition) == 1
+        assert partition[0][0] is v4
+        assert sorted(id(v) for v in partition[0]) \
+            == sorted(id(v) for v in (v1, v2, v3, v4))

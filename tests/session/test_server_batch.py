@@ -129,3 +129,18 @@ class TestAssignMany:
             result = handle.assign_many([("v:x", 3)])
             assert result["accepted"] is True
             assert handle.value("v:x") == 3
+
+
+class TestStatsFrame:
+    def test_stats_frame_carries_engine_and_plan_counters_only(self, server):
+        from repro.core import PropagationStats
+
+        with client_of(server) as client:
+            handle = client.session("batch-stats")
+            a = handle.make_var("a")
+            b = handle.make_var("b")
+            handle.assign_many([(a, 1), (b, 2)])
+            stats = handle.stats()["stats"]
+        assert list(stats) == sorted(stats)
+        assert set(stats) == set(PropagationStats.__slots__) | {
+            "plan_chain_hits", "plan_deopts", "plan_hits"}

@@ -237,3 +237,36 @@ def test_batch_history_replays_exactly(batches):
             assert replayed.fingerprint() == expected
     finally:
         shutil.rmtree(directory, ignore_errors=True)
+
+
+class TestMultiModuleBatch:
+    def test_eight_module_hierarchy_batch(self):
+        """One batch touching every module of a disjoint-module design:
+        the modules are separate islands, and the batch leaves every
+        module exactly as one-by-one assignments would."""
+        from repro.core import ScaleOffsetConstraint, bfs_partition
+
+        def build(session, modules=8, chain=16):
+            heads = []
+            tails = []
+            for module in range(modules):
+                variables = [session.make_variable(f"m{module}v{step}")
+                             for step in range(chain)]
+                for left, right in zip(variables, variables[1:]):
+                    ScaleOffsetConstraint(right, left, offset=1)
+                heads.append(variables[0])
+                tails.append(variables[-1])
+            return heads, tails
+
+        with Session("batched") as batched, Session("single") as single:
+            b_heads, b_tails = build(batched)
+            s_heads, s_tails = build(single)
+            assert len(bfs_partition(b_heads)) == 8
+            rounds = batched.context.stats.rounds
+            assert batched.assign_many(
+                [(head, 10 * k) for k, head in enumerate(b_heads)])
+            for k, head in enumerate(s_heads):
+                assert single.assign(head, 10 * k)
+            assert [v.value for v in b_tails] == [v.value for v in s_tails] \
+                == [10 * k + 15 for k in range(8)]
+            assert batched.context.stats.rounds == rounds + 1

@@ -215,6 +215,69 @@ class TestStats:
         assert snapshot["engine.stats.plan_hits"] == 0
         assert snapshot["engine.stats.plan_deopts"] == 0
 
+    def test_stats_reports_engine_and_plan_counters_only(self, design_path):
+        from repro.core import PropagationStats
+
+        code, text = run(["stats", design_path, "--json"])
+        assert code == 0
+        names = {name[len("engine.stats."):] for name in json.loads(text)}
+        assert names == set(PropagationStats.__slots__) | {
+            "plan_chain_hits", "plan_deopts", "plan_hits"}
+
+
+class TestIslands:
+    @staticmethod
+    def bfs_sizes(design_path):
+        """Island sizes of the design's constrained variables, computed
+        directly with bfs_partition."""
+        from repro.core import bfs_partition
+        from repro.stem.persistence import load_library
+
+        with open(design_path) as handle:
+            library = load_library(json.load(handle),
+                                   context=reset_default_context())
+        variables = []
+        for cell in library:
+            if cell.delays and cell.subcells:
+                cell.build_delay_network()
+            variables.extend(cell.variables.values())
+            for instance in cell.subcells:
+                variables.extend(instance.variables.values())
+            for net in cell.nets.values():
+                variables.extend([net.bit_width_var, net.data_type_var,
+                                  net.electrical_type_var])
+        constrained = [v for v in variables if v.all_constraints()]
+        return sorted((len(c) for c in bfs_partition(constrained)),
+                      reverse=True)
+
+    def test_islands_text_matches_bfs_partition(self, design_path):
+        sizes = self.bfs_sizes(design_path)
+        code, text = run(["islands", design_path])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == (f"{len(sizes)} island(s) in 'cli-demo' "
+                            f"(largest {sizes[0]})")
+        assert lines[1:] == [f"  island {index}: {size} variable(s)"
+                             for index, size in enumerate(sizes)]
+        _, rerun = run(["islands", design_path])
+        assert rerun == text
+
+    def test_islands_json_matches_bfs_partition(self, design_path):
+        sizes = self.bfs_sizes(design_path)
+        code, text = run(["islands", design_path, "--json", "--members"])
+        assert code == 0
+        report = json.loads(text)
+        assert sorted(report) == ["islands", "largest_island", "members",
+                                  "sizes"]
+        assert report["sizes"] == sizes
+        assert report["islands"] == len(sizes)
+        assert report["largest_island"] == sizes[0]
+        assert [len(group) for group in report["members"]] == sizes
+        for group in report["members"]:
+            assert group == sorted(group)
+        names = [name for group in report["members"] for name in group]
+        assert len(names) == len(set(names))
+
 
 class TestPlancacheStats:
     def test_plancache_stats_text(self, design_path):

@@ -37,31 +37,19 @@ def percentile(samples: List[float], q: float) -> float:
 
 
 def _client_worker(host: str, port: int, index: int, requests: int,
-                   session_prefix: str, retries: int, modules: int,
+                   session_prefix: str, retries: int,
                    latencies: List[float], errors: List[str],
                    barrier: threading.Barrier) -> None:
     try:
         with SessionClient(host, port, retries=retries, backoff=0.05,
                            retry_seed=index) as client:
             handle = client.session(f"{session_prefix}{index}")
-            if modules > 1:
-                # Disjoint-module workload: one free variable per module
-                # (no shared constraints), every request one assign_many
-                # batch spanning all of them — the island-parallel shape.
-                variables = [handle.make_var(f"load-m{j}", 0)
-                             for j in range(modules)]
-            else:
-                var = handle.make_var("load", 0)
+            var = handle.make_var("load", 0)
             barrier.wait(timeout=30)
             samples = []
             for n in range(requests):
                 started = time.perf_counter()
-                if modules > 1:
-                    handle.assign_many([(variable, n * modules + j)
-                                        for j, variable
-                                        in enumerate(variables)])
-                else:
-                    handle.assign(var, n)
+                handle.assign(var, n)
                 samples.append(time.perf_counter() - started)
             latencies.extend(samples)
     except Exception as error:  # noqa: BLE001 - reported to the caller
@@ -73,16 +61,11 @@ def _client_worker(host: str, port: int, index: int, requests: int,
 
 
 def run_load(host: str, port: int, *, clients: int = 8,
-             requests: int = 100, retries: int = 4, modules: int = 1,
+             requests: int = 100, retries: int = 4,
              session_prefix: str = "load-c") -> Dict[str, Any]:
     """Drive the server and return latency/throughput statistics.
 
-    ``modules`` > 1 switches each client from single-variable ``assign``
-    mutations to ``assign_many`` batches spanning that many disjoint
-    module variables — the workload shape island-parallel draining
-    (``--island-workers``) accelerates.
-
-    Returns ``{"clients", "requests", "modules", "errors",
+    Returns ``{"clients", "requests", "errors",
     "total_requests", "seconds", "throughput_rps", "p50_ms", "p90_ms",
     "p99_ms", "max_ms"}``.  ``errors`` lists client failures verbatim —
     an empty list is the success criterion.
@@ -94,7 +77,7 @@ def run_load(host: str, port: int, *, clients: int = 8,
         threading.Thread(
             target=_client_worker,
             args=(host, port, index, requests, session_prefix, retries,
-                  modules, latencies, errors, barrier),
+                  latencies, errors, barrier),
             daemon=True)
         for index in range(clients)]
     for thread in threads:
@@ -108,7 +91,6 @@ def run_load(host: str, port: int, *, clients: int = 8,
     return {
         "clients": clients,
         "requests": requests,
-        "modules": modules,
         "errors": errors,
         "total_requests": total,
         "seconds": round(elapsed, 4),
@@ -129,14 +111,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=100,
                         help="mutations per client")
     parser.add_argument("--retries", type=int, default=4)
-    parser.add_argument("--modules", type=int, default=1,
-                        help="disjoint module variables per client; above 1 "
-                             "each request is one assign_many batch across "
-                             "them (exercises island-parallel draining)")
     args = parser.parse_args(argv)
     report = run_load(args.host, args.port, clients=args.clients,
-                      requests=args.requests, retries=args.retries,
-                      modules=args.modules)
+                      requests=args.requests, retries=args.retries)
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     print()
     return 1 if report["errors"] else 0
