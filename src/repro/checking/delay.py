@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.functional import UniAdditionConstraint, UniMaximumConstraint
 from ..core.variable import Variable
 from ..stem.implicit import ClassInstVar, InstanceInstVar
@@ -155,6 +153,8 @@ def enumerate_delay_paths(cell_class: Any, source: str, dest: str, *,
     :class:`DelayPathExplosion` rather than silently dropping paths (a
     missing path would silently under-estimate the worst case).
     """
+    import networkx as nx  # only path enumeration needs it
+
     graph = nx.MultiDiGraph()
     source_node = ("io", source)
     dest_node = ("io", dest)

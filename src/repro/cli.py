@@ -29,15 +29,18 @@ import os
 import sys
 from typing import Any, Iterator, List, Optional
 
-from .checking import check_cell
 from .core import reset_default_context
-from .selection import ModuleSelector, RankedSelector
-from .spice import extract_netlist
-from .stem.library import CellLibrary
-from .stem.persistence import load_library
+
+# Commands import what they use, so importing this module loads only
+# the propagation kernel.  Servers add the code sessions hold
+# (`_import_session_kernel`); numpy, networkx, spice and selection stay
+# out of them.  The `CellLibrary` annotations below are strings and need
+# no import.
 
 
 def _load(path: str, context: Any = None) -> CellLibrary:
+    from .stem.persistence import load_library
+
     with open(path) as handle:
         data = json.load(handle)
     if context is None:
@@ -110,6 +113,8 @@ def cmd_tree(args: argparse.Namespace, out) -> int:
 
 
 def cmd_erc(args: argparse.Namespace, out) -> int:
+    from .checking import check_cell
+
     library = _load(args.design)
     cells = ([library.cell(args.cell)] if args.cell
              else [cell for cell in library if cell.subcells])
@@ -125,6 +130,8 @@ def cmd_erc(args: argparse.Namespace, out) -> int:
 
 
 def cmd_netlist(args: argparse.Namespace, out) -> int:
+    from .spice import extract_netlist
+
     library = _load(args.design)
     cell = library.cell(args.cell)
     netlist = extract_netlist(cell)
@@ -152,6 +159,8 @@ def cmd_delay(args: argparse.Namespace, out) -> int:
 
 
 def cmd_select(args: argparse.Namespace, out) -> int:
+    from .selection import ModuleSelector, RankedSelector
+
     library = _load(args.design)
     cell = library.cell(args.cell)
     instance = _find_instance(cell, args.instance)
@@ -453,6 +462,16 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     return 0 if result.satisfied_count else 1
 
 
+def _import_session_kernel() -> None:
+    """Load the cell-library code that every session holds, before serving.
+
+    Sessions import it on first open.  In a server that first open is
+    often a recovery or, on a fleet follower, a failover, with a client
+    waiting for it.
+    """
+    from .stem import persistence  # noqa: F401
+
+
 def cmd_serve(args: argparse.Namespace, out) -> int:
     """Serve durable design sessions over newline-delimited JSON.
 
@@ -465,6 +484,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     from .session.server import SessionServer
 
+    _import_session_kernel()
     round_budget = None
     if args.round_budget_steps is not None \
             or args.round_budget_seconds is not None:
@@ -505,6 +525,7 @@ def cmd_fleet_worker(args: argparse.Namespace, out) -> int:
 
     from .fleet.worker import WorkerServer
 
+    _import_session_kernel()
     server = WorkerServer(args.root, worker_id=args.id, host=args.host,
                           port=args.port, fsync=args.fsync,
                           request_timeout=args.request_timeout,

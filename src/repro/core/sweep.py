@@ -41,6 +41,7 @@ propagation.
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .functional import (
@@ -61,13 +62,10 @@ from .predicates import (
     UpperBoundConstraint,
 )
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: True when the numpy backend is available in this process.
-HAVE_NUMPY = _numpy is not None
+#: True when the numpy backend is available in this process.  numpy
+#: itself is imported by the first numpy-backend run, so processes that
+#: never sweep (servers, replay) do not pay for it.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 __all__ = ["HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
            "bfs_partition", "compile_island_sweeps", "compile_sweep",
@@ -202,7 +200,7 @@ class SweepPlan:
     # -- numpy backend ------------------------------------------------------
 
     def _run_numpy(self, columns: List[List[float]]) -> SweepResult:
-        np = _numpy
+        import numpy as np
         length = len(columns[0]) if columns else 0
         ins = [np.asarray(column, dtype=np.float64) for column in columns]
         slots: List[Any] = [None] * self._slot_count

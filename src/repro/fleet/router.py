@@ -48,6 +48,8 @@ from ..session.server import (
     _READ_CHUNK,
     _RequestError,
     _encode_frame,
+    _open_stream_connection,
+    _start_stream_server,
     _too_long_frame,
     _JOURNALED_COMMANDS,
 )
@@ -120,8 +122,7 @@ class WorkerLink:
             while True:
                 try:
                     self._reader, self._writer = \
-                        await asyncio.open_connection(
-                            self.host, self.port, limit=_MAX_LINE)
+                        await _open_stream_connection(self.host, self.port)
                     self._read_task = asyncio.ensure_future(
                         self._read_loop(self._reader))
                     for frame in self.setup:
@@ -314,8 +315,8 @@ class Router:
 
     async def start(self) -> None:
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._client_connected, self.host, self.port, limit=_MAX_LINE)
+        self._server = await _start_stream_server(
+            self._client_connected, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.repl_interval > 0:
             self._repl_task = asyncio.ensure_future(self._repl_loop())

@@ -52,7 +52,7 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .codec import (
     EncodingError,
@@ -70,6 +70,49 @@ __all__ = ["SessionServer"]
 _MAX_LINE = 1 << 20
 _READ_CHUNK = 1 << 16
 _RID_CACHE_SIZE = 256  # remembered responses per session, for retries
+
+
+class _ReusedBufferProtocol(asyncio.StreamReaderProtocol,
+                            asyncio.BufferedProtocol):
+    """A stream protocol whose socket reads land in one reused buffer.
+
+    asyncio's default read path allocates a fresh 256 KiB ``bytes`` for
+    every ``recv`` and frees it once the data is copied into the
+    reader.  Whether glibc then trims the heap and regrows it on the
+    next request depends on the process's heap layout; when it does,
+    every request takes fresh page faults.  Reading into one buffer per
+    connection removes that allocation.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 client_connected: Any = None) -> None:
+        super().__init__(reader, client_connected)
+        self._read_buffer = memoryview(bytearray(_READ_CHUNK))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._read_buffer[:nbytes])
+
+
+async def _start_stream_server(client_connected: Callable[..., Any],
+                               host: str, port: int) -> asyncio.AbstractServer:
+    """``asyncio.start_server`` over :class:`_ReusedBufferProtocol`."""
+    return await asyncio.get_running_loop().create_server(
+        lambda: _ReusedBufferProtocol(
+            asyncio.StreamReader(limit=_MAX_LINE), client_connected),
+        host, port)
+
+
+async def _open_stream_connection(host: str, port: int) -> Tuple[
+        asyncio.StreamReader, asyncio.StreamWriter]:
+    """``asyncio.open_connection`` over :class:`_ReusedBufferProtocol`."""
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader(limit=_MAX_LINE)
+    protocol = _ReusedBufferProtocol(reader)
+    transport, _ = await loop.create_connection(lambda: protocol, host, port)
+    return reader, asyncio.StreamWriter(transport, protocol, reader, loop)
 
 
 class _RequestError(Exception):
@@ -128,8 +171,8 @@ class SessionServer:
 
     async def start(self) -> None:
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._client_connected, self.host, self.port, limit=_MAX_LINE)
+        self._server = await _start_stream_server(
+            self._client_connected, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def run(self) -> None:

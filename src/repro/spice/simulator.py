@@ -25,24 +25,28 @@ Node ``0`` is ground.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-try:  # deck parsing works on the stdlib; the analyses need numpy
+if TYPE_CHECKING:  # annotations only; analyses import numpy on first use
     import numpy as np
-except ImportError:  # pragma: no cover - exercised on no-numpy CI legs
-    np = None
 
-#: True when the numeric analyses (OP, DC, transient) can run.
-HAVE_NUMPY = np is not None
+#: True when the numeric analyses (OP, DC, transient) can run.  Deck
+#: parsing works on the stdlib; numpy is imported by the first analysis.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
-def _require_numpy() -> None:
-    if np is None:
+def _require_numpy() -> Any:
+    """The numpy module, imported on first use by an analysis."""
+    try:
+        import numpy
+    except ImportError:
         raise RuntimeError(
             "SPICE analyses require numpy, which is not importable; "
-            "deck parsing and netlist export remain available")
+            "deck parsing and netlist export remain available") from None
+    return numpy
 
 
 _R_OFF = 1e12  # off-state switch resistance
@@ -270,7 +274,7 @@ def _solve_static(elements: List[_Element], *, time: float = 0.0,
 
     ``overrides`` replaces named sources' values for DC sweeps.
     """
-    _require_numpy()
+    np = _require_numpy()
     overrides = overrides or {}
     node_names = sorted({node for element in elements
                          for node in element.nodes if node != "0"})
@@ -373,7 +377,7 @@ class DCSweepResult:
 def run_dc_sweep(text: str, source_name: str,
                  values: Any) -> DCSweepResult:
     """The .DC analysis: sweep one source, record static node voltages."""
-    _require_numpy()
+    np = _require_numpy()
     elements = _parse_elements_only(text)
     if not any(e.kind == "V" and e.name == source_name for e in elements):
         raise SpiceParseError(f"no source named {source_name!r} in the deck")
@@ -389,7 +393,7 @@ def run_dc_sweep(text: str, source_name: str,
 
 def run_spice_deck(text: str) -> SimulationResult:
     """Simulate a deck text: the stand-in for the external SPICE run."""
-    _require_numpy()
+    np = _require_numpy()
     elements, (dt, tstop) = parse_deck(text)
 
     node_names = sorted({node for element in elements
