@@ -228,18 +228,14 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
     metrics snapshot API so output is deterministic (sorted keys) and,
     with ``--json``, machine-readable.
     """
+    from .core.plancache import plan_counters
     from .obs import MetricsRegistry
 
     library = _load(args.design)
     _exercise(library)
     registry = MetricsRegistry.from_stats(library.context.stats)
-    cache = getattr(library.context, "plan_cache", None)
-    registry.counter("engine.stats.plan_hits").inc(
-        cache.hits if cache is not None else 0)
-    registry.counter("engine.stats.plan_chain_hits").inc(
-        cache.chain_hits if cache is not None else 0)
-    registry.counter("engine.stats.plan_deopts").inc(
-        cache.deopts if cache is not None else 0)
+    for name, value in plan_counters(library.context).items():
+        registry.counter(f"engine.stats.{name}").inc(value)
     snapshot = registry.snapshot()
     if args.json:
         json.dump(snapshot, out, indent=2, sort_keys=True)

@@ -44,7 +44,6 @@ from .plancache import (
     NOT_DERIVED,
     PlanCache,
     PropagationPlan,
-    PropagationPlanChain,
     plan_cache_for,
 )
 from .predicates import (
@@ -107,8 +106,7 @@ __all__ = [
     "IMPLICIT", "Infeasible", "Interval", "IntervalSolver", "MEDIUM",
     "PropagationControl", "REQUIRED", "Recommendation", "RelaxationSolver",
     "STRONG", "StrengthAwareVariable", "USER_STRENGTH", "WEAK", "WEAKEST",
-    "NOT_DERIVED", "PlanCache", "PropagationPlan", "PropagationPlanChain",
-    "PropagationTrace",
+    "NOT_DERIVED", "PlanCache", "PropagationPlan", "PropagationTrace",
     "HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
     "bfs_partition", "compile_island_sweeps",
     "compile_network", "compile_sweep", "control_for", "explain",

@@ -522,6 +522,7 @@ class PropagationContext:
             # changes, so a crash between journaling and mutation replays
             # the assignment rather than losing it.
             recorder.record_assign(variable, value, justification)
+        entries = [(variable, value, justification)]
         cache = self.plan_cache
         if cache is not None and self.tracer is None:
             # Hot-round fast path: a cached plan replays the round under
@@ -530,51 +531,12 @@ class PropagationContext:
             # while the key warms up).  Consulted after the recorder so
             # journaling is identical with the cache on or off, and before
             # the stats increment so the recorded stats delta covers it.
-            handled = cache.on_external_assign(variable, value, justification)
+            handled = cache.on_external("assign", entries, 0)
             if handled is not None:
                 return handled
-        self.stats.external_assignments += 1
         if self.tracer is not None:
             self._trace("round-start", variable, f"set to {value!r}")
-        observer = self.observer
-        if observer is not None:
-            observer.round_started("assign", variable)
-        outcome = "error"
-        rnd = None
-        try:
-            with self._round_scope() as rnd:
-                rnd.record_visit(variable)
-                variable._store(value, justification)
-                rnd.note_change(variable)
-                queue = rnd.queue
-                queue.append((_DRAIN_AGENDAS,))
-                queue.append((_VARIABLE_CHANGED, variable, None))
-                try:
-                    variable.on_stored_by_assignment()
-                    self._drain(rnd)
-                    self.check_visited_constraints()
-                except PropagationViolation as signal:
-                    self._abort_round(rnd, signal)
-                    outcome = signal.kind
-                    return False
-                except BaseException:
-                    # A defective constraint implementation must not leave
-                    # the network half-updated: restore, then re-raise.
-                    self._restore(rnd)
-                    if observer is not None:
-                        observer.restored(len(rnd.visited), "error")
-                    raise
-            outcome = "ok"
-        finally:
-            recording = self._plan_recording
-            if recording is not None:
-                self._plan_recording = None
-                recording.cache.finish_recording(recording, rnd,
-                                                 outcome == "ok")
-            if observer is not None:
-                observer.round_finished(outcome)
-        self._trace("round-end", variable)
-        return True
+        return self._run_round("assign", entries, 0)
 
     def _in_round_external_assignment(self, variable: Any, value: Any,
                                       justification: Justification) -> None:
@@ -583,7 +545,7 @@ class PropagationContext:
         if recording is not None:
             # A tool assigned mid-round: the round's shape depends on
             # state a straight-line plan cannot guard.  Never cache it.
-            recording.poison("in-round external assignment")
+            recording.poisoned = True
         self.stats.external_assignments += 1
         rnd.record_visit(variable)
         variable._store(value, justification)
@@ -663,33 +625,36 @@ class PropagationContext:
         else:
             seeds = entries
         dropped = len(entries) - len(seeds)
-        cache = self.plan_cache
-        if cache is not None and self.tracer is None:
-            # Hot-batch fast path: a promoted plan chain replays the whole
-            # batch under guards.  Consulted after the recorder (identical
-            # journaling cache on or off) and before the stats increments
-            # (the recorded stats delta covers them).
-            handled = cache.on_external_batch(seeds, dropped)
-            if handled is not None:
-                return handled
-        return self._run_batch_round(seeds, dropped)
-
-    def _run_batch_round(self, entries: List[Tuple[Any, Any, Justification]],
-                         dropped: int) -> bool:
-        """The general batched round: seed, drain, sweep once."""
-        stats = self.stats
-        stats.coalesced_assignments += dropped
-        stats.external_assignments += len(entries)
-        first = entries[0][0]
-        if self.tracer is not None:
-            self._trace("round-start", first,
-                        f"batch of {len(entries)} assignment(s)")
         observer = self.observer
         if observer is not None:
             batch_hook = getattr(observer, "batch_submitted", None)
             if batch_hook is not None:
-                batch_hook(len(entries) + dropped, dropped)
-            observer.round_started("batch", first)
+                batch_hook(len(entries), dropped)
+        cache = self.plan_cache
+        if cache is not None and self.tracer is None:
+            # Hot-batch fast path, as in ``assign``: the batch key is the
+            # seed tuple, so a promoted plan replays the whole batch.
+            handled = cache.on_external("batch", seeds, dropped)
+            if handled is not None:
+                return handled
+        if self.tracer is not None:
+            self._trace("round-start", seeds[0][0],
+                        f"batch of {len(seeds)} assignment(s)")
+        return self._run_round("batch", seeds, dropped)
+
+    def _run_round(self, kind: str,
+                   entries: List[Tuple[Any, Any, Justification]],
+                   dropped: int) -> bool:
+        """The general external-assignment round: seed each entry and
+        drain its wavefront, then sweep once.  ``kind`` names the round
+        for the observer (``"assign"`` is a one-entry batch)."""
+        stats = self.stats
+        stats.coalesced_assignments += dropped
+        stats.external_assignments += len(entries)
+        first = entries[0][0]
+        observer = self.observer
+        if observer is not None:
+            observer.round_started(kind, first)
         outcome = "error"
         rnd = None
         try:
@@ -717,6 +682,8 @@ class PropagationContext:
                     outcome = signal.kind
                     return False
                 except BaseException:
+                    # A defective constraint implementation must not leave
+                    # the network half-updated: restore, then re-raise.
                     self._restore(rnd)
                     if observer is not None:
                         observer.restored(len(rnd.visited), "error")
@@ -794,7 +761,7 @@ class PropagationContext:
             rnd = self.require_round()
             recording = self._plan_recording
             if recording is not None:
-                recording.poison("in-round constraint repropagation")
+                recording.poisoned = True  # a plan cannot replay this
             watermark = len(rnd.queue)
             rnd.queue.append((_REPROPAGATE, constraint, None))
             if not rnd.draining:

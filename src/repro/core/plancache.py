@@ -12,7 +12,9 @@ engine the moment a guard fails.
 The unit of specialization is an external-assignment round.  Interactive
 design work re-enters the network at the same variables over and over
 (every slider drag, every session replay entry), so the cache keys rounds
-by ``(entry variable, topology epoch)``:
+by ``(entry variables, topology epoch)``.  A single ``assign`` is a
+one-entry batch: its key is ``id(variable)``, an ``assign_many`` key the
+tuple of its coalesced entry ids, so the two never share a plan.
 
 * ``PropagationContext.topology_epoch`` is bumped by every structural
   change — constraint attach/detach, implicit hierarchy links, and
@@ -63,8 +65,8 @@ from .constraint import Constraint
 from .engine import PropagationContext
 from .variable import Variable
 
-__all__ = ["NOT_DERIVED", "PlanCache", "PropagationPlan",
-           "PropagationPlanChain", "plan_cache_for"]
+__all__ = ["NOT_DERIVED", "PlanCache", "PropagationPlan", "plan_cache_for",
+           "plan_counters"]
 
 #: Sentinel returned by a plan step's derivation when the inference the
 #: trace recorded would not happen under current values (incomplete
@@ -109,29 +111,28 @@ class _TraceRecording:
     """One general round's linearized activity, captured for promotion.
 
     Installed on ``context._plan_recording`` by the cache and fed by the
-    engine's ``propagated_assignment`` (write/ignore notes) and in-round
-    entry points (poison notes); finished from ``assign``'s round
-    teardown.
+    engine's round (entry notes), ``propagated_assignment`` (write/ignore
+    notes) and in-round entry points (which set ``poisoned``); finished
+    from the round teardown.
     """
 
-    __slots__ = ("cache", "state", "epoch", "entry_none", "stats_before",
-                 "steps", "poisoned", "reason", "dropped")
+    __slots__ = ("cache", "state", "epoch", "stats_before", "steps",
+                 "poisoned", "dropped")
 
     def __init__(self, cache: "PlanCache", state: "_KeyState", epoch: int,
-                 entry_none: bool, stats_before: Dict[str, int],
-                 dropped: int = 0) -> None:
+                 stats_before: Dict[str, int], dropped: int) -> None:
         self.cache = cache
         self.state = state
         self.epoch = epoch
-        self.entry_none = entry_none
         self.stats_before = stats_before
         #: ``(kind, target, constraint, justification, value_was_none)``
         self.steps: List[Tuple[str, Any, Any, Any, bool]] = []
+        #: Set when the round did something a straight-line plan cannot
+        #: replay.
         self.poisoned = False
-        self.reason = ""
-        #: Coalesced-entry count of the recorded batch (chains only): a
-        #: chain's stats delta replays the coalescing counter, so replay
-        #: must guard that the count still matches.
+        #: Coalesced-entry count of the recorded batch: the stats delta
+        #: replays the coalescing counter, so replay must guard that the
+        #: count still matches.
         self.dropped = dropped
 
     def note_write(self, variable: Any, value: Any, constraint: Any,
@@ -145,18 +146,12 @@ class _TraceRecording:
                            value is None))
 
     def note_entry(self, variable: Any, value: Any) -> None:
-        """A batch entry boundary: the next steps belong to this entry."""
+        """An entry boundary: the next steps belong to this entry."""
         self.steps.append(("e", variable, None, None, value is None))
-
-    def poison(self, reason: str) -> None:
-        """The round did something a straight-line plan cannot replay."""
-        if not self.poisoned:
-            self.poisoned = True
-            self.reason = reason
 
     def signature(self, checks: List[Any]) -> Tuple[Any, ...]:
         """The round's activation shape: what happened, not which values."""
-        shape: List[Any] = [("e", self.entry_none)]
+        shape: List[Any] = []
         for kind, target, constraint, _justification, none in self.steps:
             if kind == "e":
                 shape.append(("e", id(target), none))
@@ -168,48 +163,21 @@ class _TraceRecording:
 
 
 class PropagationPlan:
-    """A promoted straight-line replay for one (entry, epoch) key.
+    """A promoted straight-line replay for one (entries, epoch) key.
 
-    ``steps`` is the guarded program: ``("w", target, constraint, derive,
-    justification, was_none)`` writes, ``("i", target, constraint,
-    derive)`` ignore-guards, ``("g", constraint, silent)`` silence guards
-    and ``("c", constraint)`` satisfaction checks, in recorded order.
-    ``stats_delta`` replays the round's :class:`PropagationStats`
-    increments so counters — and therefore session fingerprints — cannot
-    distinguish a plan hit from a general round.
-    """
-
-    __slots__ = ("entry", "entry_none", "steps", "stats_delta")
-
-    def __init__(self, entry: Any, entry_none: bool,
-                 steps: List[Tuple[Any, ...]],
-                 stats_delta: List[Tuple[str, int]]) -> None:
-        self.entry = entry
-        self.entry_none = entry_none
-        self.steps = steps
-        self.stats_delta = stats_delta
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __repr__(self) -> str:
-        writes = sum(1 for step in self.steps if step[0] == "w")
-        return (f"<PropagationPlan {self.entry.qualified_name()} "
-                f"{writes} write(s) / {len(self.steps)} step(s)>")
-
-
-class PropagationPlanChain:
-    """A promoted straight-line replay for one batched round.
-
-    The stitched trace-tree of a hot repeated batch (the slider-drag
-    case): ``steps`` interleaves ``("e", target, was_none)`` entry
-    markers — each consuming the next ``(variable, value,
-    justification)`` of the submitted batch — with the same ``"w"`` /
-    ``"i"`` / ``"g"`` / ``"c"`` guarded steps as
-    :class:`PropagationPlan`, forming one guard set and one final sweep
-    for the whole batch.  ``dropped`` is the coalesced-entry count the
-    recorded batch had; the stats delta replays the coalescing counter,
-    so a batch that coalesces differently falls back to the general
+    The stitched trace of a hot round: ``steps`` interleaves ``("e",
+    target, was_none)`` entry markers — each consuming the next
+    ``(variable, value, justification)`` of the submitted entries and
+    guarding its value's ``None``-ness — with ``("w", target,
+    constraint, derive, justification, was_none)`` writes, ``("i",
+    target, constraint, derive)`` ignore-guards, ``("g", constraint,
+    silent)`` silence guards and ``("c", constraint)`` satisfaction
+    checks, in recorded order: one guard set and one final sweep for the
+    whole round.  ``stats_delta`` replays the round's
+    :class:`PropagationStats` increments so counters — and therefore
+    session fingerprints — cannot distinguish a plan hit from a general
+    round.  ``dropped`` is the coalesced-entry count the recorded batch
+    had; a batch that coalesces differently falls back to the general
     engine.
     """
 
@@ -228,26 +196,26 @@ class PropagationPlanChain:
 
     def __repr__(self) -> str:
         writes = sum(1 for step in self.steps if step[0] == "w")
-        return (f"<PropagationPlanChain {len(self.entries)} entries "
+        return (f"<PropagationPlan {len(self.entries)} entries "
                 f"{writes} write(s) / {len(self.steps)} step(s)>")
 
 
 class _KeyState:
     """Per-key lifecycle: registered -> traced -> planned (or disabled)."""
 
-    __slots__ = ("variable", "key_ids", "signature", "confirmations", "plan",
+    __slots__ = ("entries", "key_ids", "signature", "confirmations", "plan",
                  "disabled", "attempts")
 
-    def __init__(self, variable: Any, key_ids: Any = None) -> None:
-        #: The entry variable (strong ref: keeps ``id()`` stable) — or,
-        #: for a batch key, the tuple of entry variables in seed order.
-        self.variable = variable
+    def __init__(self, entries: Tuple[Any, ...], key_ids: Any) -> None:
+        #: The entry variables in seed order (strong refs: keep ``id()``
+        #: stable).
+        self.entries = entries
         #: The id part of the cache key: ``id(variable)`` for a single
-        #: entry, the tuple of entry-variable ids for a batch.
-        self.key_ids = key_ids if key_ids is not None else id(variable)
+        #: assign, the tuple of entry-variable ids for a batch.
+        self.key_ids = key_ids
         self.signature: Optional[Tuple[Any, ...]] = None
         self.confirmations = 0
-        self.plan: Optional[Any] = None
+        self.plan: Optional[PropagationPlan] = None
         self.disabled = False
         self.attempts = 0
 
@@ -257,9 +225,9 @@ class PlanCache:
 
     Installing the cache (the constructor installs it, like
     :class:`~repro.core.control.PropagationControl`) makes
-    ``PropagationContext.assign`` consult it before opening a general
-    round.  One attribute check per external assignment is the whole cost
-    while no plan exists.
+    ``PropagationContext.assign`` and ``assign_many`` consult it before
+    opening a general round.  One attribute check per external assignment
+    is the whole cost while no plan exists.
 
     Parameters
     ----------
@@ -341,8 +309,8 @@ class PlanCache:
         state = self._states.get((id(variable), self.context.topology_epoch))
         return state.plan if state is not None else None
 
-    def chain_for(self, variables: Any) -> Optional[PropagationPlanChain]:
-        """The promoted plan chain for an entry-variable tuple, if any."""
+    def chain_for(self, variables: Any) -> Optional[PropagationPlan]:
+        """The promoted plan for a batch's entry variables, if any."""
         key_ids = tuple(id(variable) for variable in variables)
         state = self._states.get((key_ids, self.context.topology_epoch))
         return state.plan if state is not None else None
@@ -369,54 +337,26 @@ class PlanCache:
 
     # -- engine-facing protocol ---------------------------------------------
 
-    def on_external_assign(self, variable: Any, value: Any,
-                           justification: Any) -> Optional[bool]:
-        """Consulted by ``PropagationContext.assign`` before a round.
+    def on_external(self, kind: str, entries: List[Tuple[Any, Any, Any]],
+                    dropped: int) -> Optional[bool]:
+        """Consulted by ``PropagationContext.assign`` (``kind`` ``"assign"``,
+        one entry) and ``assign_many`` (``"batch"``) before a round.
 
-        Returns ``True`` when a plan replayed the round (the assignment
-        is complete), ``None`` when the general engine must run — with a
+        ``entries`` is the coalesced ``(variable, value, justification)``
+        seed list; ``dropped`` the coalesced-away entry count.  Returns
+        ``True`` when a plan replayed the round (the assignment is
+        complete), ``None`` when the general engine must run — with a
         trace recording installed when this key is warming up.
         """
         context = self.context
         if context._plan_recording is not None:
-            # A previous assign aborted before its round teardown could
-            # finish the recording (defective observer): discard it.
+            # A previous round aborted before its teardown could finish
+            # the recording (defective observer): discard it.
             context._plan_recording = None
-        key = (id(variable), context.topology_epoch)
-        states = self._states
-        state = states.get(key)
-        if state is None:
-            self.misses += 1
-            self._observe("miss")
-            if len(states) >= self.max_keys:
-                states.pop(next(iter(states)))
-            states[key] = _KeyState(variable)
-            return None
-        if state.disabled:
-            self.misses += 1
-            self._observe("miss")
-            return None
-        if state.plan is not None:
-            return self._execute(state, variable, value, justification)
-        self.misses += 1
-        self._observe("miss")
-        self._begin_recording(state, value)
-        return None
-
-    def on_external_batch(self, entries: List[Tuple[Any, Any, Any]],
-                          dropped: int) -> Optional[bool]:
-        """Consulted by ``PropagationContext.assign_many`` before a round.
-
-        ``entries`` is the coalesced ``(variable, value, justification)``
-        seed list; ``dropped`` the coalesced-away entry count.  Returns
-        ``True`` when a plan chain replayed the whole batch, ``None``
-        when the general batched round must run — with a trace recording
-        installed when this batch key is warming up.
-        """
-        context = self.context
-        if context._plan_recording is not None:
-            context._plan_recording = None
-        key_ids = tuple(id(entry[0]) for entry in entries)
+        if kind == "assign":
+            key_ids: Any = id(entries[0][0])
+        else:
+            key_ids = tuple(id(entry[0]) for entry in entries)
         key = (key_ids, context.topology_epoch)
         states = self._states
         state = states.get(key)
@@ -433,10 +373,10 @@ class PlanCache:
             self._observe("miss")
             return None
         if state.plan is not None:
-            return self._execute_batch(state, entries, dropped)
+            return self._execute(kind, state, entries, dropped)
         self.misses += 1
         self._observe("miss")
-        self._begin_recording(state, None, dropped)
+        self._begin_recording(state, dropped)
         return None
 
     def finish_recording(self, recording: _TraceRecording, rnd: Any,
@@ -458,25 +398,22 @@ class PlanCache:
             return
         state.confirmations += 1
         if state.confirmations >= self.hot_threshold:
-            if isinstance(state.variable, tuple):
-                self._promote_chain(state, recording, checks)
-            else:
-                self._promote(state, recording, checks)
+            self._promote(state, recording, checks)
 
     # -- recording ----------------------------------------------------------
 
-    def _begin_recording(self, state: _KeyState, value: Any,
-                         dropped: int = 0) -> None:
+    def _begin_recording(self, state: _KeyState, dropped: int) -> None:
         state.attempts += 1
         if state.attempts > self.max_trace_attempts:
-            self._disable(state, "trace budget exhausted")
+            self._disable(state)  # trace budget exhausted
             return
         self.traces += 1
         self.context._plan_recording = _TraceRecording(
-            self, state, self.context.topology_epoch, value is None,
+            self, state, self.context.topology_epoch,
             self.context.stats.snapshot(), dropped)
 
-    def _disable(self, state: _KeyState, reason: str) -> None:
+    def _disable(self, state: _KeyState) -> None:
+        """Mark the key unplannable: it runs on the general engine."""
         state.disabled = True
         state.plan = None
         state.signature = None
@@ -487,63 +424,19 @@ class PlanCache:
 
     def _promote(self, state: _KeyState, recording: _TraceRecording,
                  checks: List[Any]) -> None:
-        entry = state.variable
-        if not _plain_variable(entry):
-            return self._disable(state, "entry variable is not plain")
-        steps: List[Tuple[Any, ...]] = []
-        written = {id(entry)}
-        stepped = set()
-        involved: List[Any] = []
-        for kind, target, constraint, justification, was_none \
-                in recording.steps:
-            changed = justification.dependency_record
-            # Hierarchy duals (InstanceInstVar and friends) act as the
-            # source "constraint" of cross-level stores without being
-            # Constraint subclasses: no plan_derivation, never planned.
-            derivation = getattr(constraint, "plan_derivation", None)
-            derive = derivation(target, changed) \
-                if derivation is not None else None
-            if derive is None:
-                return self._disable(
-                    state, f"{type(constraint).__name__} is not derivable")
-            if not _plain_variable(target):
-                return self._disable(state, "write target is not plain")
-            stepped.add(id(constraint))
-            involved.append(constraint)
-            if kind == "w":
-                if id(target) in written:
-                    return self._disable(state, "variable written twice")
-                written.add(id(target))
-                steps.append(("w", target, constraint, derive,
-                              justification, was_none))
-            else:
-                steps.append(("i", target, constraint, derive))
-        if not self._certify_checks(state, checks, steps, written, stepped,
-                                    involved):
-            return None
-        state.plan = PropagationPlan(entry, recording.entry_none, steps,
-                                     self._stats_delta(recording))
-        state.attempts = 0
-        self.promotions += 1
-        self._observe("promotion")
+        """Promote a confirmed trace into a plan.
 
-    def _promote_chain(self, state: _KeyState, recording: _TraceRecording,
-                       checks: List[Any]) -> None:
-        """Promote a batched-round trace into a plan chain.
-
-        Same certification rules as :meth:`_promote`, with two batch
-        twists: the double-write rule applies per entry *segment* (the
-        general engine resets its change counts at each entry, so a
-        later entry's wavefront legitimately recomputes a variable an
-        earlier entry derived), and the silence guards consider every
-        variable written anywhere in the batch.
+        The double-write rule applies per entry *segment* (the general
+        engine resets its change counts at each entry, so a later
+        entry's wavefront legitimately recomputes a variable an earlier
+        entry derived), and the silence guards consider every variable
+        written anywhere in the round.
         """
-        entries = state.variable
-        for variable in entries:
+        for variable in state.entries:
             if not _plain_variable(variable):
-                return self._disable(state, "entry variable is not plain")
+                return self._disable(state)
         steps: List[Tuple[Any, ...]] = []
-        written: set = set()   # across the whole batch, for silence guards
+        written: set = set()   # across the whole round, for silence guards
         segment: set = set()   # within the current entry segment
         stepped = set()
         involved: List[Any] = []
@@ -555,19 +448,19 @@ class PlanCache:
                 steps.append(("e", target, was_none))
                 continue
             changed = justification.dependency_record
+            # Hierarchy duals (InstanceInstVar and friends) act as the
+            # source "constraint" of cross-level stores without being
+            # Constraint subclasses: no plan_derivation, never planned.
             derivation = getattr(constraint, "plan_derivation", None)
             derive = derivation(target, changed) \
                 if derivation is not None else None
-            if derive is None:
-                return self._disable(
-                    state, f"{type(constraint).__name__} is not derivable")
-            if not _plain_variable(target):
-                return self._disable(state, "write target is not plain")
+            if derive is None or not _plain_variable(target):
+                return self._disable(state)
             stepped.add(id(constraint))
             involved.append(constraint)
             if kind == "w":
                 if id(target) in segment:
-                    return self._disable(state, "variable written twice")
+                    return self._disable(state)  # written twice
                 segment.add(id(target))
                 written.add(id(target))
                 steps.append(("w", target, constraint, derive,
@@ -577,9 +470,9 @@ class PlanCache:
         if not self._certify_checks(state, checks, steps, written, stepped,
                                     involved):
             return None
-        state.plan = PropagationPlanChain(entries, steps,
-                                          self._stats_delta(recording),
-                                          recording.dropped)
+        state.plan = PropagationPlan(state.entries, steps,
+                                     self._stats_delta(recording),
+                                     recording.dropped)
         state.attempts = 0
         self.promotions += 1
         self._observe("promotion")
@@ -606,23 +499,22 @@ class PlanCache:
                 if driven:
                     silent = guard_factory()
                     if silent is None:
-                        self._disable(state, "silence not guardable")
+                        self._disable(state)
                         return False
                     steps.append(("g", constraint, silent))
                 continue
             if getattr(constraint, "plan_silent_on_none", False):
                 continue  # null-driven skip; None-ness is guarded invariant
-            self._disable(
-                state, f"silent {type(constraint).__name__} not certified")
+            self._disable(state)  # silence not certified
             return False
         for constraint in involved + checks:
             arguments = getattr(constraint, "arguments", None)
             if arguments is None:
-                self._disable(state, "constraint without arguments")
+                self._disable(state)
                 return False
             for argument in arguments:
                 if not _plain_variable(argument):
-                    self._disable(state, "argument is not plain")
+                    self._disable(state)
                     return False
         for constraint in checks:
             steps.append(("c", constraint))
@@ -636,54 +528,9 @@ class PlanCache:
 
     # -- replay -------------------------------------------------------------
 
-    def _execute(self, state: _KeyState, variable: Any, value: Any,
-                 justification: Any) -> Optional[bool]:
-        context = self.context
-        observer = context.observer
-        span = None
-        if observer is not None:
-            observer.round_started("assign", variable)
-            span_hook = getattr(observer, "plan_span", None)
-            if span_hook is not None:
-                # Counts a ``plan.replay`` attempt and, with a span
-                # recorder installed, times the straight-line execution.
-                span = span_hook("replay", entry=variable.qualified_name())
-        try:
-            if span is not None:
-                with span:
-                    ok = self._run_plan(state.plan, variable, value,
-                                        justification, context.shadow)
-            else:
-                ok = self._run_plan(state.plan, variable, value,
-                                    justification, context.shadow)
-        except BaseException:
-            if observer is not None:
-                observer.round_finished("error")
-            raise
-        if ok:
-            stats = context.stats
-            for name, delta in state.plan.stats_delta:
-                setattr(stats, name, getattr(stats, name) + delta)
-            self.hits += 1
-            if observer is not None:
-                self._observe_on(observer, "hit")
-                observer.round_finished("ok")
-            return True
-        # Deoptimize: the rollback already ran; drop the plan and re-enter
-        # the general engine on this very round, recording a fresh trace.
-        self.deopts += 1
-        state.plan = None
-        state.signature = None
-        state.confirmations = 0
-        if observer is not None:
-            self._observe_on(observer, "deopt")
-            observer.round_finished("deopt")
-        self._begin_recording(state, value)
-        return None
-
-    def _execute_batch(self, state: _KeyState,
-                       entries: List[Tuple[Any, Any, Any]],
-                       dropped: int) -> Optional[bool]:
+    def _execute(self, kind: str, state: _KeyState,
+                 entries: List[Tuple[Any, Any, Any]],
+                 dropped: int) -> Optional[bool]:
         plan = state.plan
         if dropped != plan.dropped:
             # Different raw batch, same coalesced seeds: the recorded
@@ -697,20 +544,19 @@ class PlanCache:
         span = None
         first = entries[0][0]
         if observer is not None:
-            batch_hook = getattr(observer, "batch_submitted", None)
-            if batch_hook is not None:
-                batch_hook(len(entries) + dropped, dropped)
-            observer.round_started("batch", first)
+            observer.round_started(kind, first)
             span_hook = getattr(observer, "plan_span", None)
             if span_hook is not None:
+                # Counts a ``plan.replay`` attempt and, with a span
+                # recorder installed, times the straight-line execution.
                 span = span_hook("replay", entry=first.qualified_name(),
                                  entries=len(entries))
         try:
             if span is not None:
                 with span:
-                    ok = self._run_chain(plan, entries, context.shadow)
+                    ok = self._run(plan, entries, context.shadow)
             else:
-                ok = self._run_chain(plan, entries, context.shadow)
+                ok = self._run(plan, entries, context.shadow)
         except BaseException:
             if observer is not None:
                 observer.round_finished("error")
@@ -720,14 +566,15 @@ class PlanCache:
             for name, delta in plan.stats_delta:
                 setattr(stats, name, getattr(stats, name) + delta)
             self.hits += 1
-            self.chain_hits += 1
+            if kind == "batch":
+                self.chain_hits += 1
             if observer is not None:
                 self._observe_on(observer, "hit")
                 observer.round_finished("ok")
             return True
-        # Deoptimize mid-chain: the rollback already restored every entry;
-        # drop the chain and re-enter the general batched round on this
-        # very batch, recording a fresh trace.
+        # Deoptimize: the rollback already restored every entry; drop the
+        # plan and re-enter the general engine on this very round,
+        # recording a fresh trace.
         self.deopts += 1
         state.plan = None
         state.signature = None
@@ -735,14 +582,13 @@ class PlanCache:
         if observer is not None:
             self._observe_on(observer, "deopt")
             observer.round_finished("deopt")
-        self._begin_recording(state, None, dropped)
+        self._begin_recording(state, dropped)
         return None
 
     @staticmethod
-    def _run_chain(plan: PropagationPlanChain,
-                   entries: List[Tuple[Any, Any, Any]],
-                   shadow: Any = None) -> bool:
-        """Replay a plan chain under guards; False means rolled back."""
+    def _run(plan: PropagationPlan, entries: List[Tuple[Any, Any, Any]],
+             shadow: Any = None) -> bool:
+        """Replay a plan under guards; False means rolled back."""
         undo: List[Tuple[Any, Any, Any]] = []
         index = 0
         try:
@@ -794,56 +640,6 @@ class PlanCache:
             shadow.absorb_undo(undo)
         return True
 
-    @staticmethod
-    def _run_plan(plan: PropagationPlan, variable: Any, value: Any,
-                  justification: Any, shadow: Any = None) -> bool:
-        """Replay the plan under guards; False means rolled back."""
-        if (value is None) != plan.entry_none:
-            return False  # nothing stored yet: a free deopt
-        undo: List[Tuple[Any, Any, Any]] = [
-            (variable, variable.last_set_by, variable.raw_value)]
-        variable._store(value, justification)
-        try:
-            for step in plan.steps:
-                kind = step[0]
-                if kind == "w":
-                    _, target, constraint, derive, just, was_none = step
-                    derived = derive()
-                    if derived is NOT_DERIVED \
-                            or (derived is None) != was_none \
-                            or target.classify_propagated(
-                                derived, constraint) != "apply":
-                        raise _GuardFailure
-                    undo.append((target, target.last_set_by,
-                                 target.raw_value))
-                    target._store(derived, just)
-                elif kind == "c":
-                    if not step[1].is_satisfied():
-                        raise _GuardFailure
-                elif kind == "i":
-                    _, target, constraint, derive = step
-                    derived = derive()
-                    if derived is NOT_DERIVED \
-                            or target.classify_propagated(
-                                derived, constraint) != "ignore":
-                        raise _GuardFailure
-                else:  # "g": the constraint must still have no inference
-                    if not step[2]():
-                        raise _GuardFailure
-        except _GuardFailure:
-            for var, just, val in reversed(undo):
-                var._store(val, just)
-            return False
-        except BaseException:
-            # Defective derivation/check: restore, then surface — the
-            # same contract as the general engine's error path.
-            for var, just, val in reversed(undo):
-                var._store(val, just)
-            raise
-        if shadow is not None and undo:
-            shadow.absorb_undo(undo)
-        return True
-
     # -- observability ------------------------------------------------------
 
     def _observe(self, kind: str, count: int = 1) -> None:
@@ -864,3 +660,13 @@ def plan_cache_for(context: PropagationContext) -> PlanCache:
     if isinstance(existing, PlanCache):
         return existing
     return PlanCache(context)
+
+
+def plan_counters(context: Any) -> Dict[str, int]:
+    """The plan counters ``repro stats`` and the server's ``stats`` frame
+    export: all 0 when the context has no cache installed."""
+    cache = getattr(context, "plan_cache", None)
+    if cache is None:
+        return {"plan_hits": 0, "plan_chain_hits": 0, "plan_deopts": 0}
+    return {"plan_hits": cache.hits, "plan_chain_hits": cache.chain_hits,
+            "plan_deopts": cache.deopts}

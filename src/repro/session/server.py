@@ -54,6 +54,7 @@ import json
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..core.plancache import plan_counters
 from .codec import (
     EncodingError,
     UnknownAddress,
@@ -621,11 +622,7 @@ class SessionServer:
     def _cmd_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
         session = self._session(message)
         stats = session.context.stats.snapshot()
-        cache = session.context.plan_cache
-        stats["plan_hits"] = cache.hits if cache is not None else 0
-        stats["plan_chain_hits"] = (cache.chain_hits
-                                    if cache is not None else 0)
-        stats["plan_deopts"] = cache.deopts if cache is not None else 0
+        stats.update(plan_counters(session.context))
         return {"stats": {key: stats[key] for key in sorted(stats)},
                 "position": session.position,
                 "store": self.manager.store_backend,

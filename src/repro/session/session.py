@@ -427,28 +427,9 @@ class Session:
             # Hot path: scalar assigns dominate journal traffic, and the
             # generic dict-encode chain costs more than the propagation
             # round it rides on.
-            kind = type(encoded)
-            if kind is int:
-                value_json: Optional[str] = repr(encoded)
-            elif kind is str and _safe_str(encoded):
-                value_json = '"' + encoded + '"'
-            elif kind is float and encoded == encoded \
-                    and encoded not in (_INF, -_INF):
-                value_json = repr(encoded)
-            else:
-                value_json = None
-            # Escape-free address/justification strings are memoized —
-            # set membership is far cheaper than re-scanning per append
-            # (set.add returns None, so `not add(...)` records and
-            # passes in one expression).
-            safe = self._safe_strings
             rid = self.pending_rid
-            if value_json is not None \
-                    and (rid is None or _safe_str(rid)) \
-                    and (address in safe or (_safe_str(address)
-                                             and not safe.add(address))) \
-                    and (just in safe or (_safe_str(just)
-                                          and not safe.add(just))):
+            value_json = self._fast_value_json(address, encoded, just)
+            if value_json is not None and (rid is None or _safe_str(rid)):
                 seq = journal.append_assign(address, value_json, just, rid)
                 self._last_seq = seq
                 self._observe("session_op", "assign")
@@ -474,6 +455,35 @@ class Session:
             "inverse": {"value": variable.raw_value,
                         "just": variable.last_set_by}})
         self._redo.clear()
+
+    def _fast_value_json(self, address: str, encoded: Any,
+                         just: str) -> Optional[str]:
+        """The pre-serialized JSON of one scalar journal entry's value, or
+        ``None`` when the entry needs the generic encoder.
+
+        Ints, escape-free strings and finite floats qualify, and only
+        when the address and justification strings are escape-free too.
+        Those strings are memoized — set membership is far cheaper than
+        re-scanning per append (set.add returns None, so ``not add(...)``
+        records and passes in one expression).
+        """
+        kind = type(encoded)
+        if kind is int:
+            value_json = repr(encoded)
+        elif kind is str and _safe_str(encoded):
+            value_json = '"' + encoded + '"'
+        elif kind is float and encoded == encoded \
+                and encoded not in (_INF, -_INF):
+            value_json = repr(encoded)
+        else:
+            return None
+        safe = self._safe_strings
+        if (address in safe or (_safe_str(address)
+                                and not safe.add(address))) \
+                and (just in safe or (_safe_str(just)
+                                      and not safe.add(just))):
+            return value_json
+        return None
 
     def record_batch(self, entries: List[Tuple[Any, Any, Any]]) -> None:
         """Write-ahead capture of one batched assignment round.
@@ -512,25 +522,10 @@ class Session:
             # Hot path: one fused, pre-serialized record for the whole
             # batch — same escape-free fast path as scalar assigns, one
             # frame instead of N.
-            safe = self._safe_strings
             triples: Optional[List[Tuple[str, str, str]]] = []
             for address, encoded, just in items:
-                kind = type(encoded)
-                if kind is int:
-                    value_json: Optional[str] = repr(encoded)
-                elif kind is str and _safe_str(encoded):
-                    value_json = '"' + encoded + '"'
-                elif kind is float and encoded == encoded \
-                        and encoded not in (_INF, -_INF):
-                    value_json = repr(encoded)
-                else:
-                    value_json = None
-                if value_json is None \
-                        or not (address in safe
-                                or (_safe_str(address)
-                                    and not safe.add(address))) \
-                        or not (just in safe or (_safe_str(just)
-                                                 and not safe.add(just))):
+                value_json = self._fast_value_json(address, encoded, just)
+                if value_json is None:
                     triples = None
                     break
                 triples.append((address, value_json, just))

@@ -18,6 +18,7 @@ from repro.core import (
     Variable,
     source_constraint,
 )
+from repro.obs import Observer
 
 
 def build_motifs(context, count=3):
@@ -175,6 +176,23 @@ class TestGuardsAndDeopt:
         hits = cache.hits
         assert context.assign_many([(entry, 8) for entry in entries])
         assert cache.hits == hits + 1
+
+    def test_chain_deopt_counts_one_submitted_batch(self):
+        """A deopting chain falls back to the general round on the same
+        batch: the batch was submitted once and counts once."""
+        context = PropagationContext()
+        cache = PlanCache(context)
+        entries, _ = build_motifs(context)
+        warm(context, cache, entries)
+        batch = [(entry, 9) for entry in entries]
+        batch[1] = (entries[1], None)
+        observer = Observer.metrics_only(context).install()
+        assert context.assign_many(batch)
+        observer.uninstall()
+        assert cache.deopts == 1
+        snapshot = observer.metrics.snapshot()
+        assert snapshot["engine.batch.rounds"] == 1
+        assert snapshot["engine.batch.entries"] == 3
 
     def test_topology_change_invalidates_the_chain(self):
         context = PropagationContext()
