@@ -489,7 +489,6 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                                    max_seconds=args.round_budget_seconds)
     server = SessionServer(args.root, host=args.host, port=args.port,
                            fsync=args.fsync,
-                           request_timeout=args.request_timeout,
                            max_frame_bytes=args.max_frame_bytes,
                            max_connections=args.max_connections,
                            drain_timeout=args.drain_timeout,
@@ -524,7 +523,6 @@ def cmd_fleet_worker(args: argparse.Namespace, out) -> int:
     _import_session_kernel()
     server = WorkerServer(args.root, worker_id=args.id, host=args.host,
                           port=args.port, fsync=args.fsync,
-                          request_timeout=args.request_timeout,
                           store=args.store)
 
     async def run() -> None:
@@ -878,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--fsync", default="always",
                          choices=["always", "rotate", "never"],
                          help="journal durability policy")
-    p_serve.add_argument("--request-timeout", type=float, default=30.0)
     p_serve.add_argument("--max-connections", type=int, default=64,
                          help="client connection limit; excess accepts "
                               "get a graceful 'overloaded' frame")
@@ -910,7 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fworker.add_argument("--port", type=int, default=0)
     p_fworker.add_argument("--fsync", default="always",
                            choices=["always", "rotate", "never"])
-    p_fworker.add_argument("--request-timeout", type=float, default=30.0)
     p_fworker.add_argument("--store", default=None,
                            metavar="BACKEND[:PATH]",
                            help="durable storage backend: file (default), "
@@ -935,7 +931,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--repl-interval", type=float, default=0.25,
                          help="background replication pass interval "
                               "(checkpoints + gap repair); 0 disables")
-    p_fleet.add_argument("--request-timeout", type=float, default=30.0)
+    p_fleet.add_argument("--request-timeout", type=float, default=30.0,
+                         help="seconds the router waits on a worker "
+                              "before answering 'timeout'")
     p_fleet.add_argument("--store", default=None, metavar="BACKEND[:PATH]",
                          help="durable storage backend on every worker "
                               "(relative locations resolve under each "

@@ -41,7 +41,7 @@ import itertools
 import json
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from ..session.retry import RetryPolicy
 from ..session.server import (
     _MAX_LINE,
@@ -214,10 +214,10 @@ class WorkerLink:
         back to a full re-encode/parse on any mismatch.
         """
         await self._ensure()
-        link_id = f"x{next(self._ids)}"
-        link_key = json.dumps(link_id).encode("utf-8")
-        orig_key = json.dumps(message.get("id"),
-                              separators=(",", ":")).encode("utf-8")
+        number = next(self._ids)
+        link_id = f"x{number}"
+        link_key = b'"x%d"' % number
+        orig_key = _id_token(message.get("id"))
         payload: Optional[bytes] = None
         if raw is not None:
             prefix = b'{"id":' + orig_key
@@ -240,8 +240,8 @@ class WorkerLink:
 
     async def _exchange(self, payload: bytes, link_id: str) -> bytes:
         assert self._writer is not None
-        future: asyncio.Future = \
-            asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._futures[link_id] = future
         try:
             self._writer.write(payload)
@@ -250,9 +250,12 @@ class WorkerLink:
             self._drop()
             raise WorkerGone(
                 f"lost connection to worker {self.worker_id!r}") from None
+        # A timer handle costs far less per hop than a wait_for Task.
+        timer = loop.call_later(self.request_timeout, _expire, future)
         try:
-            return await asyncio.wait_for(future, self.request_timeout)
+            return await future
         finally:
+            timer.cancel()
             self._futures.pop(link_id, None)
 
     async def close(self) -> None:
@@ -265,6 +268,18 @@ class WorkerLink:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
+
+
+def _id_token(request_id: Any) -> bytes:
+    """The compact JSON encoding of a client frame id."""
+    if type(request_id) is int:
+        return b"%d" % request_id
+    return json.dumps(request_id, separators=(",", ":")).encode("utf-8")
+
+
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 class Router:
@@ -305,6 +320,7 @@ class Router:
         self._addresses = dict(workers)
         self._down: Set[str] = set()
         self._locks: Dict[str, asyncio.Lock] = {}
+        self._worker_requests: Dict[str, Counter] = {}
         self._known: Set[str] = set()
         self._connections: Set[asyncio.StreamWriter] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -475,8 +491,12 @@ class Router:
                 worker = self.ring.lookup(name)
                 if worker is None:
                     raise _RequestError("overloaded", "no live workers")
-                self.metrics.counter(
-                    f"fleet.worker.{worker}.requests").inc()
+                counter = self._worker_requests.get(worker)
+                if counter is None:
+                    counter = self._worker_requests[worker] = \
+                        self.metrics.counter(
+                            f"fleet.worker.{worker}.requests")
+                counter.inc()
                 link = self._links[worker]
                 try:
                     frame, raw = await link.forward(message, line)

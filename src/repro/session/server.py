@@ -15,12 +15,11 @@ Isolation and flow control:
 * every session has its own :class:`~repro.session.session.Session`
   (own context, library, journal) — no shared mutable state between
   sessions, so cross-session leakage is impossible by construction;
-* an ``asyncio.Lock`` per session serializes its operations while
-  operations on *different* sessions interleave freely;
-* at most ``max_pending`` requests may queue per session — excess
-  requests fail fast with a ``busy`` error frame;
-* each request is bounded by ``request_timeout`` — lock starvation
-  surfaces as a ``timeout`` error frame instead of a hung client;
+* every handler is synchronous and runs inline on its connection's
+  coroutine, so the event loop itself serializes the requests of a
+  session (and of the whole server) with no lock, queue or timeout;
+* a connection with several complete frames buffered yields to the loop
+  between them, so a pipelining client cannot starve the others;
 * request frames are bounded by ``max_frame_bytes`` — an oversized frame
   answers with a ``bad-request`` frame and is discarded up to its
   newline, leaving the connection usable;
@@ -34,9 +33,8 @@ Retry safety: a request may carry a client-generated ``rid`` string.
 The response to each ``rid`` is remembered (per session, bounded LRU)
 and replayed verbatim when the same ``rid`` arrives again, so a client
 that lost a response to a network fault can retry the mutation and have
-it apply **exactly once**.  The check-and-record happens inside the
-session lock with no intervening ``await``, so a duplicate can never
-race the original.
+it apply **exactly once**.  The check-and-record runs with no
+intervening ``await``, so a duplicate can never race the original.
 
 Disk-fault surfacing: a session whose journal degraded (persistent disk
 error) answers mutations with ``degraded`` frames; other I/O errors
@@ -136,8 +134,7 @@ class SessionServer:
     """Serve a session root to concurrent JSON-line clients."""
 
     def __init__(self, root: str, *, host: str = "127.0.0.1", port: int = 0,
-                 fsync: str = "always", request_timeout: float = 30.0,
-                 max_pending: int = 64, max_sessions: int = 64,
+                 fsync: str = "always", max_sessions: int = 64,
                  max_frame_bytes: int = _MAX_LINE,
                  max_connections: int = 64,
                  drain_timeout: float = 5.0,
@@ -154,13 +151,9 @@ class SessionServer:
         #: Extra identity fields merged into every ``health`` frame —
         #: a fleet worker stamps its worker id and role here.
         self.info: Dict[str, Any] = {}
-        self.request_timeout = request_timeout
-        self.max_pending = max_pending
         self.max_frame_bytes = max_frame_bytes
         self.max_connections = max_connections
         self.drain_timeout = drain_timeout
-        self._locks: Dict[str, asyncio.Lock] = {}
-        self._pending: Dict[str, int] = {}
         self._rid_cache: Dict[str, "OrderedDict[str, Any]"] = {}
         self._connections: Set[asyncio.StreamWriter] = set()
         self._in_flight = 0
@@ -269,15 +262,19 @@ class SessionServer:
                 writer.write(_encode_frame(_too_long_frame(limit)))
                 await writer.drain()
                 continue
+            if b"\n" in buffer:
+                # Another frame is already buffered: the request below
+                # runs without yielding, so let other connections in.
+                await asyncio.sleep(0)
             self._in_flight += 1
             try:
-                response = await self._handle_line(line)
+                response = self._handle_line(line)
             finally:
                 self._in_flight -= 1
             writer.write(_encode_frame(response))
             await writer.drain()
 
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
+    def _handle_line(self, line: bytes) -> Dict[str, Any]:
         request_id: Any = None
         try:
             try:
@@ -288,7 +285,7 @@ class SessionServer:
                 raise _RequestError("bad-request",
                                     "request must be a JSON object")
             request_id = message.get("id")
-            result = await self._dispatch(message)
+            result = self._dispatch(message)
             return {"id": request_id, "ok": True, "result": result}
         except _RequestError as error:
             return {"id": request_id, "ok": False, "error": error.frame()}
@@ -306,7 +303,7 @@ class SessionServer:
             return {"id": request_id, "ok": False,
                     "error": {"type": "io-error", "message": str(error)}}
 
-    async def _dispatch(self, message: Dict[str, Any]) -> Any:
+    def _dispatch(self, message: Dict[str, Any]) -> Any:
         cmd = message.get("cmd")
         handler = self.COMMANDS.get(cmd)
         if handler is None:
@@ -317,78 +314,51 @@ class SessionServer:
         if not isinstance(name, str) or not name:
             raise _RequestError("bad-request",
                                 f"cmd {cmd!r} requires a session name")
-        pending = self._pending.get(name, 0)
-        if pending >= self.max_pending:
-            raise _RequestError(
-                "busy", f"session {name!r} has {pending} pending requests")
-        self._pending[name] = pending + 1
-        lock = self._locks.setdefault(name, asyncio.Lock())
         rid = message.get("rid")
         if rid is not None and not isinstance(rid, str):
             raise _RequestError("bad-request", "rid must be a string")
-
-        async def locked() -> Any:
-            # Everything under the lock is synchronous (no awaits), so a
-            # timeout can only cancel the request while it waits for the
-            # lock — never between applying a mutation and remembering
-            # its response.  That makes rid-replay exactly-once.
-            async with lock:
-                cache = self._rid_cache.setdefault(name, OrderedDict())
-                if rid is not None and rid in cache:
-                    cache.move_to_end(rid)
-                    hit = cache[rid]
-                    if isinstance(hit, _RequestError):
-                        raise hit
-                    return hit
-                session: Optional[Session] = None
-                if rid is not None and cmd in _JOURNALED_COMMANDS:
-                    session = self.manager.get(name)
-                    entry = session.rid_entry(rid)
-                    if entry is not None:
-                        # The mutation already reached the journal —
-                        # possibly in a previous process life (the rid
-                        # cache above dies with the process, the journal
-                        # does not).  Rebuild a response from current
-                        # state instead of applying twice.
-                        result = _RECONSTRUCT[cmd](self, message, session,
-                                                   entry)
-                        result["replayed"] = True
-                        _remember(cache, rid, result)
-                        return result
-                    # Stamp the rid into whatever this command journals,
-                    # so the dedup above survives a worker kill.
-                    session.pending_rid = rid
-                before_seq = self._session_seq(name)
-                try:
-                    result = handler(self, message)
-                except _RequestError as error:
-                    # Deterministic rejections (violation, bad address…)
-                    # replay as-is; load shedding is never remembered.
-                    if rid is not None and error.kind not in ("busy",
-                                                              "timeout"):
-                        _remember(cache, rid, error)
-                    raise
-                finally:
-                    if session is not None:
-                        session.pending_rid = None
-                result = self._post_command(name, message, result,
-                                            before_seq)
-                if rid is not None:
-                    _remember(cache, rid, result)
+        # From here to the rid record below nothing awaits, so no other
+        # request can run in between: a duplicate can never race the
+        # original, which makes rid replay exactly-once.
+        cache = self._rid_cache.get(name)
+        if cache is None:
+            cache = self._rid_cache[name] = OrderedDict()
+        if rid is not None and rid in cache:
+            cache.move_to_end(rid)
+            hit = cache[rid]
+            if isinstance(hit, _RequestError):
+                raise hit
+            return hit
+        session: Optional[Session] = None
+        if rid is not None and cmd in _JOURNALED_COMMANDS:
+            session = self.manager.get(name)
+            entry = session.rid_entry(rid)
+            if entry is not None:
+                # The mutation already reached the journal — possibly in
+                # a previous process life (the rid cache above dies with
+                # the process, the journal does not).  Rebuild a
+                # response from current state instead of applying twice.
+                result = _RECONSTRUCT[cmd](self, message, session, entry)
+                result["replayed"] = True
+                _remember(cache, rid, result)
                 return result
-
+            # Stamp the rid into whatever this command journals, so the
+            # dedup above survives a worker kill.
+            session.pending_rid = rid
+        before_seq = self._session_seq(name)
         try:
-            return await asyncio.wait_for(locked(), self.request_timeout)
-        except asyncio.TimeoutError:
-            raise _RequestError(
-                "timeout",
-                f"request exceeded {self.request_timeout}s") from None
+            result = handler(self, message)
+        except _RequestError as error:
+            # Deterministic rejections (violation, bad address…) replay
+            # as-is.
+            _remember(cache, rid, error)
+            raise
         finally:
-            remaining = self._pending.get(name, 1) - 1
-            if remaining:
-                self._pending[name] = remaining
-            else:
-                self._pending.pop(name, None)
+            if session is not None:
+                session.pending_rid = None
+        result = self._post_command(name, message, result, before_seq)
+        _remember(cache, rid, result)
+        return result
 
     # -- helpers ------------------------------------------------------------
 
@@ -403,7 +373,7 @@ class SessionServer:
     def _post_command(self, name: str, message: Dict[str, Any],
                       result: Dict[str, Any],
                       before_seq: Optional[int]) -> Dict[str, Any]:
-        """Hook called under the session lock after a handler succeeds.
+        """Hook called after a handler succeeds, before the rid record.
 
         ``before_seq`` is the session's journal position before the
         handler ran (``None`` if the session was not open yet).  The

@@ -35,6 +35,33 @@ class TestApiReference:
             assert f"## `{package}`" in text
 
 
+class TestApiSummaries:
+    def test_constants_do_not_borrow_their_types_docstring(self):
+        generator = load_generator()
+        for value in (object(), 3, "name", {"a": 1}, (1, 2), True):
+            assert generator.first_line(value) == "", value
+
+    def test_classes_do_not_inherit_a_base_docstring(self):
+        generator = load_generator()
+
+        class Base:
+            """Base summary."""
+
+        class Child(Base):
+            pass
+
+        assert generator.first_line(Base) == "Base summary"
+        assert generator.first_line(Child) == ""
+
+    def test_module_without_all_lists_only_its_own_names(self):
+        generator = load_generator()
+        names = {name for name, _kind, _summary
+                 in generator.entries_for("repro.cli")}
+        assert "main" in names and "cmd_serve" in names
+        assert not names & {"Any", "Iterator", "List", "Optional",
+                            "annotations", "reset_default_context"}
+
+
 class TestExperimentRegeneration:
     def test_all_deterministic_experiment_checks_hold(self):
         """tools/run_experiments.py reproduces every counted claim."""
